@@ -10,10 +10,17 @@
 package haspmv_test
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"haspmv"
 
@@ -21,7 +28,9 @@ import (
 	"haspmv/internal/bench"
 	"haspmv/internal/costmodel"
 	"haspmv/internal/exec"
+	"haspmv/internal/fleet"
 	"haspmv/internal/gen"
+	"haspmv/internal/server"
 	"haspmv/internal/sparse"
 	"haspmv/internal/store"
 	"haspmv/internal/stream"
@@ -640,6 +649,102 @@ func BenchmarkHostTriad(b *testing.B) {
 			b.Fatal("triad failed")
 		}
 	}
+}
+
+// BenchmarkMultiplyWire measures one served multiply of webbase-1M@8
+// (125k columns, about 2.3 MB of JSON each way) in process, so the
+// JSON wire path dominates: "server" is Server.ServeHTTP on the whole
+// body; "router2" is the fleet Router scattering the body to two
+// in-process workers as row shards and gathering their fragments.
+// Both report allocs/op; the bench-gate job gates their ns/op.
+func BenchmarkMultiplyWire(b *testing.B) {
+	newServer := func(b *testing.B) *server.Server {
+		s := server.New(server.Config{Machine: amp.IntelI912900KF(), Algorithm: haspmvcore.New(haspmvcore.Options{})})
+		b.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			s.Drain(ctx)
+		})
+		return s
+	}
+	const name, scale = "webbase-1M", 8
+	a := gen.Representative(name, scale)
+	rng := rand.New(rand.NewSource(1))
+	x := make([]float64, a.Cols)
+	for i := range x {
+		x[i] = rng.Float64()
+	}
+	body, err := json.Marshal(map[string]any{"matrix": name, "scale": scale, "x": x})
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := func(b *testing.B, h http.Handler) {
+		w := &discardWriter{header: http.Header{}}
+		multiply := func() {
+			clear(w.header)
+			w.code, w.n = 0, 0
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(body)))
+			if w.code != http.StatusOK || w.n == 0 {
+				b.Fatalf("multiply: status %d, %d bytes", w.code, w.n)
+			}
+		}
+		multiply() // builds the prepared matrices
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			multiply()
+		}
+	}
+	b.Run("server", func(b *testing.B) { serve(b, newServer(b)) })
+	b.Run("router2", func(b *testing.B) {
+		workers := inProcessTransport{"w0": newServer(b), "w1": newServer(b)}
+		rt, err := fleet.NewRouter(fleet.RouterOptions{
+			Backends:     func() []string { return []string{"w0", "w1"} },
+			Shards:       map[string]int{fmt.Sprintf("%s@%d", name, scale): 2},
+			DefaultScale: scale,
+			Client:       &http.Client{Transport: workers},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		serve(b, rt)
+	})
+}
+
+// discardWriter is an http.ResponseWriter that keeps only the status
+// and the body length.
+type discardWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header { return w.header }
+
+func (w *discardWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.n += len(p)
+	return len(p), nil
+}
+
+// inProcessTransport routes each request to the handler named by its
+// host, without a socket.
+type inProcessTransport map[string]http.Handler
+
+func (t inProcessTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t[r.URL.Host].ServeHTTP(rec, r)
+	if r.Body != nil {
+		r.Body.Close()
+	}
+	return rec.Result(), nil
 }
 
 // ---------------------------------------------------------------- ablations

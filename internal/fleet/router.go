@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -15,6 +16,7 @@ import (
 
 	"haspmv/internal/fleet/shard"
 	"haspmv/internal/telemetry"
+	"haspmv/internal/wire"
 )
 
 var (
@@ -180,8 +182,9 @@ func (e *routeError) Error() string { return fmt.Sprintf("upstream status %d", e
 // forward POSTs body to one backend for key, walking the failover
 // candidates on transport errors and retryable statuses (429, and 503 —
 // the draining signal). A non-retryable upstream answer is returned as
-// a routeError so the caller can relay it verbatim.
-func (rt *Router) forward(ctx context.Context, key, path string, body []byte, reqID string) ([]byte, error) {
+// a routeError so the caller can relay it verbatim. A 200 body comes
+// back in a buffer from bytePool; the caller puts it back.
+func (rt *Router) forward(ctx context.Context, key, path string, body []byte, reqID string) (*[]byte, error) {
 	backends := rt.opts.Backends()
 	if len(backends) == 0 {
 		return nil, &routeError{status: http.StatusServiceUnavailable, body: []byte(`{"error":"no live workers"}`)}
@@ -212,15 +215,26 @@ func (rt *Router) forward(ctx context.Context, key, path string, body []byte, re
 			lastErr = err
 			continue
 		}
-		respBody, err := io.ReadAll(resp.Body)
+		buf := bytePool.Get()
+		respBody, err := wire.ReadLimited(*buf, resp.Body, resp.ContentLength, maxUpstreamBytes)
+		*buf = respBody
 		resp.Body.Close()
+		if errors.Is(err, wire.ErrTooLarge) {
+			bytePool.Put(buf)
+			return nil, fmt.Errorf("fleet: %s answered %s: %w", addr, key, err)
+		}
 		if err != nil {
+			bytePool.Put(buf)
 			lastErr = err
 			continue
 		}
+		if resp.StatusCode == http.StatusOK {
+			return buf, nil
+		}
+		// Error answers are relayed or dropped, not pooled.
+		respBody = bytes.Clone(respBody)
+		bytePool.Put(buf)
 		switch resp.StatusCode {
-		case http.StatusOK:
-			return respBody, nil
 		case http.StatusServiceUnavailable, http.StatusTooManyRequests:
 			// Draining or shedding: honor the signal by moving on.
 			lastErr = fmt.Errorf("%s: status %d", addr, resp.StatusCode)
@@ -241,19 +255,22 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cRouterRequests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	// The body is not pooled: the transport may still be reading a
+	// forwarded body after the upstream answer arrives.
+	body, err := wire.ReadBody(nil, w, r, maxBodyBytes)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	var req struct {
-		Matrix string    `json:"matrix"`
-		Scale  int       `json:"scale"`
-		X      []float64 `json:"x"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	spans := spanPool.Get()
+	defer spanPool.Put(spans)
+	var req routeRequest
+	if err := decodeRoute(body, &req, *spans); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
+	}
+	if cap(req.spans) > cap(*spans) {
+		*spans = req.spans
 	}
 	if req.Scale == 0 {
 		req.Scale = rt.opts.DefaultScale
@@ -261,7 +278,7 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	key := fmt.Sprintf("%s@%d", req.Matrix, req.Scale)
 	reqID := r.Header.Get("X-Request-ID")
 	if count := rt.opts.Shards[key]; count > 1 {
-		rt.scatterMultiply(w, r, key, count, req.Matrix, req.Scale, req.X, reqID)
+		rt.scatterMultiply(w, r, key, count, &req, reqID)
 		return
 	}
 	resp, err := rt.forward(r.Context(), key, "/v1/multiply", body, reqID)
@@ -269,16 +286,18 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		rt.relayError(w, key, err)
 		return
 	}
-	writeJSONBytes(w, reqID, resp)
+	writeJSONBytes(w, reqID, *resp)
+	bytePool.Put(resp)
 }
 
 // scatterMultiply fans one multiply out across the matrix's row-shards:
 // shard i goes to the ring owner of "key#i/count" with the usual
-// failover, carrying only the x slice its column window needs, and the
-// returned fragments gather into the full y.
-func (rt *Router) scatterMultiply(w http.ResponseWriter, r *http.Request, key string, count int, matrix string, scale int, x []float64, reqID string) {
+// failover, carrying only the x text its column window needs, and the
+// returned fragments gather into the full y. The router never converts
+// x, and converts y only where a row is cut between shards.
+func (rt *Router) scatterMultiply(w http.ResponseWriter, r *http.Request, key string, count int, req *routeRequest, reqID string) {
 	cRouterScatter.Add(1)
-	plan, err := rt.shardPlan(r.Context(), key, matrix, scale, count)
+	plan, err := rt.shardPlan(r.Context(), key, req.Matrix, req.Scale, count)
 	if err != nil {
 		rt.relayError(w, key, err)
 		return
@@ -289,60 +308,58 @@ func (rt *Router) scatterMultiply(w http.ResponseWriter, r *http.Request, key st
 			rows = d.Row1 + 1
 		}
 	}
-	type fragResult struct {
-		resp struct {
-			Y    []float64 `json:"y"`
-			Row0 int       `json:"row0"`
+	for i, d := range plan {
+		if d.ColHi > req.cols() {
+			httpError(w, http.StatusBadRequest, "x has %d elements; shard %d needs columns up to %d", req.cols(), i, d.ColHi)
+			return
 		}
-		err error
 	}
-	frags := make([]fragResult, count)
+	// Each shard's fragment body and y offsets live in pooled buffers
+	// until the response is written.
+	type result struct {
+		body  *[]byte
+		spans *[]int32
+		err   error
+	}
+	results := make([]result, count)
+	frags := make([]fragment, count)
+	defer func() {
+		for _, res := range results {
+			if res.body != nil {
+				bytePool.Put(res.body)
+				spanPool.Put(res.spans)
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for i, d := range plan {
-		if d.ColHi > len(x) {
-			httpError(w, http.StatusBadRequest, "x has %d elements; shard %d needs columns up to %d", len(x), i, d.ColHi)
-			return
-		}
 		wg.Add(1)
-		go func(i int, d shard.Desc) {
+		go func(res *result, d shard.Desc) {
 			defer wg.Done()
-			sub, err := json.Marshal(map[string]any{
-				"matrix": matrix, "scale": scale,
-				"shard_index": i, "shard_count": count,
-				"x": x[d.ColLo:d.ColHi],
-			})
-			if err != nil {
-				frags[i].err = err
+			sub := appendShardRequest(make([]byte, 0, 128+len(req.xText(d.ColLo, d.ColHi))), req, d, count)
+			if res.body, res.err = rt.forward(r.Context(), fmt.Sprintf("%s#%d/%d", key, d.Index, count), "/v1/multiply", sub, reqID); res.err != nil {
 				return
 			}
-			respBody, err := rt.forward(r.Context(), fmt.Sprintf("%s#%d/%d", key, i, count), "/v1/multiply", sub, reqID)
-			if err != nil {
-				frags[i].err = err
-				return
-			}
-			frags[i].err = json.Unmarshal(respBody, &frags[i].resp)
-		}(i, d)
+			res.spans = spanPool.Get()
+			res.err = scanFragment(*res.body, d, count, &frags[d.Index], *res.spans)
+			*res.spans = frags[d.Index].spans
+		}(&results[i], d)
 	}
 	wg.Wait()
-	parts := make([][]float64, count)
-	for i := range frags {
-		if frags[i].err != nil {
-			rt.relayError(w, key, frags[i].err)
+	for _, res := range results {
+		if res.err != nil {
+			rt.relayError(w, key, res.err)
 			return
 		}
-		parts[i] = frags[i].resp.Y
 	}
-	y := make([]float64, rows)
-	if err := shard.Gather(y, plan, parts); err != nil {
+	outBuf := bytePool.Get()
+	defer bytePool.Put(outBuf)
+	out, err := appendRouteResponse(*outBuf, req, plan, frags, rows)
+	*outBuf = out
+	if err != nil {
 		rt.relayError(w, key, err)
 		return
 	}
-	out, _ := json.Marshal(map[string]any{
-		"matrix": matrix, "scale": scale,
-		"rows": rows, "cols": len(x),
-		"shard_count": count,
-		"y":           y,
-	})
 	writeJSONBytes(w, reqID, out)
 }
 
@@ -373,8 +390,11 @@ func (rt *Router) shardPlan(ctx context.Context, key, matrix string, scale, coun
 			lastErr = err
 			continue
 		}
-		body, err := io.ReadAll(resp.Body)
+		body, err := wire.ReadLimited(nil, resp.Body, resp.ContentLength, maxPlanBytes)
 		resp.Body.Close()
+		if errors.Is(err, wire.ErrTooLarge) {
+			return nil, fmt.Errorf("fleet: %s shard plan for %s: %w", addr, key, err)
+		}
 		if err != nil {
 			lastErr = err
 			continue
@@ -393,8 +413,10 @@ func (rt *Router) shardPlan(ctx context.Context, key, matrix string, scale, coun
 			lastErr = err
 			continue
 		}
-		if len(pr.Shards) != count {
-			return nil, fmt.Errorf("fleet: worker returned %d shards, want %d", len(pr.Shards), count)
+		// The gather indexes fragments and slices x by this plan, so one
+		// that does not chain is refused (a 502) and never cached.
+		if err := checkPlan(pr.Shards, count); err != nil {
+			return nil, fmt.Errorf("%s: %w", addr, err)
 		}
 		rt.planMu.Lock()
 		rt.plans[cacheKey] = pr.Shards
@@ -428,10 +450,15 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // relayError maps a routing failure onto the client response: upstream
-// answers pass through with their status, exhaustion becomes 502.
+// answers pass through with their status, a gathered y that JSON cannot
+// carry is a 422, and exhaustion or a bad fragment becomes 502.
 func (rt *Router) relayError(w http.ResponseWriter, key string, err error) {
 	cRouterFailed.Add(1)
 	rt.opts.Logf("fleet: %s failed: %v", key, err)
+	if nf, ok := err.(*wire.NonFiniteError); ok {
+		httpError(w, http.StatusUnprocessableEntity, "%v", nf)
+		return
+	}
 	if re, ok := err.(*routeError); ok {
 		if ra := re.header.Get("Retry-After"); ra != "" {
 			w.Header().Set("Retry-After", ra)

@@ -333,6 +333,9 @@ func (b *Batcher) loop() {
 		gServeQueue.Set(int64(rest))
 		b.mu.Unlock()
 		b.execute(batch, lingerNs, cause)
+		// Drop the served calls: their x and y are the handlers' pooled
+		// buffers and must not stay reachable from an idle batcher.
+		clear(batch)
 	}
 }
 
@@ -422,8 +425,10 @@ func (b *Batcher) execute(batch []*call, lingerNs int64, cause string) {
 			X = append(X, c.x)
 			Y = append(Y, c.y)
 		}
-		b.xs, b.ys = X[:0], Y[:0]
 		exec.ComputeBatchTraced(b.prep, Y, X, bd)
+		clear(X)
+		clear(Y)
+		b.xs, b.ys = X[:0], Y[:0]
 	}
 	// Link the flush into every traced request before the observer runs,
 	// so the adapter's epoch stamp completes the trace pre-release.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"haspmv/internal/fleet/shard"
 	"haspmv/internal/gen"
 	"haspmv/internal/telemetry/tracing"
+	"haspmv/internal/wire"
 )
 
 // Config assembles a serving stack.
@@ -315,8 +317,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	var tr *tracing.Trace
 	if s.cfg.Recorder != nil {
 		// One span record per request, allocated at admission on the
-		// handler path (which already allocates the decode and response
-		// buffers); the flush path only fills preallocated fields. It is
+		// handler path; the flush path only fills preallocated fields. It is
 		// handed to the recorder exactly once, after the status is known —
 		// never mutated afterwards, as the lock-free snapshot reader
 		// requires.
@@ -329,19 +330,35 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		if sw, ok := w.(*statusWriter); ok {
 			sw.tr = tr
 		}
-		defer s.finishTrace(w, tr)
+		defer func() {
+			if tr != nil {
+				s.finishTrace(w, tr)
+			}
+		}()
 	}
 	if r.Method != http.MethodPost {
 		s.reject(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	// A scale-1 circuit5M x vector is ~45MB of JSON floats; 256MB leaves
-	// headroom while still bounding a hostile body.
-	r.Body = http.MaxBytesReader(w, r.Body, 256<<20)
-	var req multiplyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	bodyBuf := bytePool.Get()
+	defer bytePool.Put(bodyBuf)
+	body, err := wire.ReadBody(*bodyBuf, w, r, maxBodyBytes)
+	*bodyBuf = body
+	if err != nil {
 		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
+	}
+	// x and y come from pools and go back when the handler returns: the
+	// batcher never touches them once SubmitTraced has returned.
+	xBuf := floatPool.Get()
+	defer floatPool.Put(xBuf)
+	var req multiplyRequest
+	if err := decodeMultiply(body, &req, *xBuf); err != nil {
+		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	if cap(req.X) > cap(*xBuf) {
+		*xBuf = req.X
 	}
 	if req.Matrix == "" {
 		s.reject(w, http.StatusBadRequest, `missing "matrix"`)
@@ -396,7 +413,11 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	y := make([]float64, e.Rows)
+	yBuf := floatPool.Get()
+	defer floatPool.Put(yBuf)
+	y := slices.Grow(*yBuf, e.Rows)[:e.Rows]
+	*yBuf = y
+	clear(y)
 	nv, err := e.Batcher.SubmitTraced(ctx, y, req.X, tr)
 	if err != nil {
 		if tr != nil {
@@ -426,8 +447,28 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		resp.ShardCount = e.Shard.Count
 		resp.Row0 = e.Shard.Row0
 	}
+	outBuf := bytePool.Get()
+	defer bytePool.Put(outBuf)
+	out, bad := appendMultiplyResponse(*outBuf, &resp)
+	*outBuf = out
+	if bad >= 0 {
+		// Report the row in the whole matrix's numbering, also for a shard.
+		msg := (&wire.NonFiniteError{Row: resp.Row0 + bad, V: y[bad]}).Error()
+		if tr != nil {
+			tr.Err = msg
+		}
+		s.reject(w, http.StatusUnprocessableEntity, msg)
+		return
+	}
+	if tr != nil {
+		// Record before the body goes out, so a client holding its
+		// response always finds the request in the flight recorder.
+		s.finishTrace(w, tr)
+		tr = nil
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	w.Write(out)
 }
 
 // handleShardPlan serves the deterministic shard plan of a matrix:
@@ -520,11 +561,11 @@ func (s *Server) handleMatrices(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// finishTrace completes and records a multiply's span after the response
-// is written: the HTTP status, a total for requests that never reached a
-// flush (attributed to queue — they died waiting), and the anomaly
-// bookkeeping. Runs once per traced request; the trace must not be
-// touched afterwards.
+// finishTrace completes and records a multiply's span once its status is
+// known (before a 200's body is sent, after an error response): the HTTP
+// status, a total for requests that never reached a flush (attributed to
+// queue — they died waiting), and the anomaly bookkeeping. Runs once per
+// traced request; the trace must not be touched afterwards.
 func (s *Server) finishTrace(w http.ResponseWriter, tr *tracing.Trace) {
 	if sw, ok := w.(*statusWriter); ok {
 		tr.Status = sw.status()
