@@ -277,7 +277,8 @@ func BenchmarkCompute(b *testing.B) {
 // rank-law power-law matrix (hub row ~33% of the nonzeros, mean ~3
 // nnz/row): the same partition and index streams (proportion and base
 // pinned) executed through the serial extraY epilogue, the speculative
-// segmented-sum descriptor walk, and the auto row-skew dispatch. On
+// segmented-sum descriptor walk, and the auto row-skew dispatch, plus a
+// nine-vector forced-segsum batch (batch-nv9). On
 // short-row matrices the per-row fragment bookkeeping is the dominant
 // cost the segsum mode deletes; the committed baseline records the win
 // and cmd/benchdiff gates it. The benchmark refuses to run if the
@@ -320,6 +321,32 @@ func BenchmarkComputeSegSum(b *testing.B) {
 			b.ReportMetric(2*float64(a.NNZ())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
 		})
 	}
+
+	// batch-nv9 guards the width-1 tail of a forced-segsum batch: nine
+	// vectors are one full register block plus a ninth that takes the
+	// single-vector segmented kernel.
+	b.Run("batch-nv9", func(b *testing.B) {
+		prep, err := haspmvcore.New(haspmvcore.Options{PProportion: prop, Base: base, Exec: haspmvcore.ExecSegSum}).Prepare(m, a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bp := prep.(*haspmvcore.Prepared)
+		const nv = 9
+		X, Y := make([][]float64, nv), make([][]float64, nv)
+		for v := range X {
+			X[v], Y[v] = x, make([]float64, a.Rows)
+		}
+		bp.ComputeBatch(Y, X) // warm the scratch and worker pools
+		if n := testing.AllocsPerRun(20, func() { bp.ComputeBatch(Y, X) }); n != 0 {
+			b.Fatalf("segsum ComputeBatch allocates %.1f/op, want 0", n)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bp.ComputeBatch(Y, X)
+		}
+		b.ReportMetric(2*nv*float64(a.NNZ())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+	})
 }
 
 // BenchmarkComputeTraced holds the tentpole observability requirement

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"haspmv/internal/algtest"
@@ -183,4 +184,59 @@ func TestComputeBatchValidation(t *testing.T) {
 	expectPanic("short y", func() { p.ComputeBatch([][]float64{make([]float64, 2)}, good) })
 	// Empty batch is a no-op.
 	p.ComputeBatch(nil, nil)
+}
+
+// Compute and ComputeBatch share one pooled workspace. Goroutines
+// mixing both on one Prepared (as the batcher's solo flushes and direct
+// Multiply calls do) must each get bit-exact results: a call that finds
+// the pool empty or too narrow runs on a fresh workspace.
+func TestComputeAndBatchShareScratchConcurrently(t *testing.T) {
+	m := amp.IntelI912900KF()
+	a := algtest.Matrix("hub-row")
+	prep, err := New(Options{Exec: ExecSegSum}).Prepare(m, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prep.(*Prepared)
+	r := rand.New(rand.NewSource(5))
+	const nv = 9
+	X := make([][]float64, nv)
+	want := make([][]float64, nv)
+	for v := range X {
+		X[v] = make([]float64, a.Cols)
+		for i := range X[v] {
+			X[v][i] = r.NormFloat64()
+		}
+		want[v] = make([]float64, a.Rows)
+		p.Compute(want[v], X[v])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			Y := make([][]float64, nv)
+			for v := range Y {
+				Y[v] = make([]float64, a.Rows)
+			}
+			for it := 0; it < 20; it++ {
+				n := nv
+				if (g+it)%2 == 0 {
+					n = 1
+					p.Compute(Y[0], X[0])
+				} else {
+					p.ComputeBatch(Y, X)
+				}
+				for v := 0; v < n; v++ {
+					for i := range Y[v] {
+						if math.Float64bits(Y[v][i]) != math.Float64bits(want[v][i]) {
+							t.Errorf("goroutine %d iter %d nv=%d: Y[%d][%d] = %v, want %v", g, it, n, v, i, Y[v][i], want[v][i])
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -3,13 +3,13 @@ package core
 import "haspmv/internal/kernel"
 
 // Fragment dispatch for the pluggable execution formats: every hot-path
-// fragment walk (Compute, ComputeBatch, and the segmented-sum lead/tail
-// fragments) funnels through these two functions, which select the
-// kernel for the region's (index format × value format) pair. The
-// branches are loop-invariant per region, so they predict perfectly
-// across a region's fragments; both functions are plain methods with
-// scalar arguments (no closures, no per-call state), so the zero-alloc
-// guarantee of the callers is preserved.
+// fragment (the serial-epilogue walk and the segmented-sum lead/tail
+// fragments, for one vector or a block) funnels through dotFragment or
+// dotFragmentBlock, which select the kernel for the region's (index
+// format × value format) pair. The branches are loop-invariant per region, so they
+// predict perfectly across a region's fragments; both functions are
+// plain methods with scalar arguments (no closures, no per-call state),
+// so the zero-alloc guarantee of the callers is preserved.
 //
 // Diagonal regions resolve one level deeper: the descriptor stream only
 // covers dia-eligible rows, and a fragment of an ineligible row inside
@@ -25,14 +25,10 @@ func (p *Prepared) dotFragment(f IndexFormat, vf ValueFormat, r, klo, khi, un in
 	if f == IndexDia {
 		if st.rowRun[r+1] > st.rowRun[r] {
 			ri := int(st.rowRun[r])
-			switch vf {
-			case ValPalette:
+			if vf == ValPalette {
 				return kernel.DotRangeDiagPalette(vs.palIdx, vs.pal, st.runs, ri, x, klo, khi, un)
-			case ValF32:
-				return kernel.DotRangeDiagF32(vs.val32, st.runs, ri, x, klo, khi, un)
-			default:
-				return kernel.DotRangeDiag(p.mat.Val, st.runs, ri, x, klo, khi, un)
 			}
+			return kernel.DotRangeDiag(p.mat.Val, st.runs, ri, x, klo, khi, un)
 		}
 		f = Index32
 	}
@@ -46,42 +42,35 @@ func (p *Prepared) dotFragment(f IndexFormat, vf ValueFormat, r, klo, khi, un in
 		default:
 			return kernel.DotRangePalette(vs.palIdx, vs.pal, p.mat.ColIdx, 0, x, klo, khi, un)
 		}
-	case ValF32:
-		switch f {
-		case Index32:
-			return kernel.DotRangeF32(vs.val32, st.col32, 0, x, klo, khi, un)
-		case Index16:
-			return kernel.DotRangeF32(vs.val32, st.col16, st.rowBase[r], x, klo, khi, un)
-		default:
-			return kernel.DotRangeF32(vs.val32, p.mat.ColIdx, 0, x, klo, khi, un)
-		}
 	default:
 		switch f {
 		case Index32:
-			return kernel.DotRange32(p.mat.Val, st.col32, x, klo, khi, un)
+			return kernel.DotRangeC(p.mat.Val, st.col32, 0, x, klo, khi, un)
 		case Index16:
-			return kernel.DotRange16Delta(p.mat.Val, st.col16, st.rowBase[r], x, klo, khi, un)
+			return kernel.DotRangeC(p.mat.Val, st.col16, st.rowBase[r], x, klo, khi, un)
 		default:
 			return kernel.DotRange(p.mat.Val, p.mat.ColIdx, x, klo, khi, un)
 		}
 	}
 }
 
-// dotFragmentBlock is dotFragment over a batch block: sums[j] receives
-// the fragment's dot product against X[j], bit-identical per vector to
-// w independent dotFragment calls' kernels.
+// dotFragmentBlock is dotFragment over a vector block: sums[j] receives
+// the fragment's dot product against X[j] for j < len(sums),
+// bit-identical per vector to independent dotFragment calls. A
+// one-vector block takes dotFragment itself.
 func (p *Prepared) dotFragmentBlock(f IndexFormat, vf ValueFormat, r, klo, khi, un int, X [][]float64, sums []float64) {
+	if len(sums) == 1 {
+		sums[0] = p.dotFragment(f, vf, r, klo, khi, un, X[0])
+		return
+	}
 	st := &p.streams
 	vs := &p.values
 	if f == IndexDia {
 		if st.rowRun[r+1] > st.rowRun[r] {
 			ri := int(st.rowRun[r])
-			switch vf {
-			case ValPalette:
+			if vf == ValPalette {
 				kernel.DotRangeBlockDiagPalette(vs.palIdx, vs.pal, st.runs, ri, X, sums, klo, khi, un)
-			case ValF32:
-				kernel.DotRangeBlockDiagF32(vs.val32, st.runs, ri, X, sums, klo, khi, un)
-			default:
+			} else {
 				kernel.DotRangeBlockDiag(p.mat.Val, st.runs, ri, X, sums, klo, khi, un)
 			}
 			return
@@ -98,23 +87,14 @@ func (p *Prepared) dotFragmentBlock(f IndexFormat, vf ValueFormat, r, klo, khi, 
 		default:
 			kernel.DotRangeBlockPalette(vs.palIdx, vs.pal, p.mat.ColIdx, 0, X, sums, klo, khi, un)
 		}
-	case ValF32:
-		switch f {
-		case Index32:
-			kernel.DotRangeBlockF32(vs.val32, st.col32, 0, X, sums, klo, khi, un)
-		case Index16:
-			kernel.DotRangeBlockF32(vs.val32, st.col16, st.rowBase[r], X, sums, klo, khi, un)
-		default:
-			kernel.DotRangeBlockF32(vs.val32, p.mat.ColIdx, 0, X, sums, klo, khi, un)
-		}
 	default:
 		switch f {
 		case Index32:
-			kernel.DotRangeBlock32(p.mat.Val, st.col32, X, sums, klo, khi, un)
+			kernel.DotRangeBlockC(p.mat.Val, st.col32, 0, X, sums, klo, khi, un)
 		case Index16:
-			kernel.DotRangeBlock16Delta(p.mat.Val, st.col16, st.rowBase[r], X, sums, klo, khi, un)
+			kernel.DotRangeBlockC(p.mat.Val, st.col16, st.rowBase[r], X, sums, klo, khi, un)
 		default:
-			kernel.DotRangeBlock(p.mat.Val, p.mat.ColIdx, X, sums, klo, khi, un)
+			kernel.DotRangeBlockC(p.mat.Val, p.mat.ColIdx, 0, X, sums, klo, khi, un)
 		}
 	}
 }

@@ -88,7 +88,6 @@ type PreparedSnapshot struct {
 	// Compressed value streams.
 	PalIdx []uint8
 	Pal    []float64
-	Val32  []float32
 
 	// Segment descriptors (nil when segmented execution is off for
 	// this instance).
@@ -134,7 +133,6 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 		DiaInel:      st.diaInel,
 		PalIdx:       vs.palIdx,
 		Pal:          vs.pal,
-		Val32:        vs.val32,
 		Segs:         p.segs,
 	}
 	if st.col32 == nil {
@@ -187,21 +185,17 @@ func checkSnapshot(s *PreparedSnapshot) error {
 	if s.PalIdx != nil && len(s.PalIdx) != nnz {
 		return fmt.Errorf("core: snapshot palette stream length %d, want %d", len(s.PalIdx), nnz)
 	}
-	if s.Val32 != nil && len(s.Val32) != nnz {
-		return fmt.Errorf("core: snapshot f32 stream length %d, want %d", len(s.Val32), nnz)
-	}
 	if s.Segs != nil && len(s.Segs) != m {
 		return fmt.Errorf("core: snapshot segment count %d, want %d", len(s.Segs), m)
 	}
 	switch s.Meta.ValFormat {
+	case ValF64:
 	case ValPalette:
 		if s.PalIdx == nil || len(s.Pal) == 0 || len(s.Pal) > PaletteMax {
 			return fmt.Errorf("core: snapshot palette format without a valid palette")
 		}
-	case ValF32:
-		if s.Val32 == nil && nnz > 0 {
-			return fmt.Errorf("core: snapshot f32 format without the f32 stream")
-		}
+	default:
+		return fmt.Errorf("core: snapshot value format %v", s.Meta.ValFormat)
 	}
 	return nil
 }
@@ -263,7 +257,7 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 		},
 		values: valueStreams{
 			format: snap.Meta.ValFormat, palIdx: snap.PalIdx,
-			pal: snap.Pal, val32: snap.Val32, distinct: snap.Meta.Distinct,
+			pal: snap.Pal, distinct: snap.Meta.Distinct,
 		},
 		segs:    snap.Segs,
 		skew:    snap.Meta.Skew,
@@ -282,7 +276,7 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 	p.assignFormats(regions)
 	p.assignModes(regions)
 	p.regions.Store(&regions)
-	p.scratch.Store(p.newScratch())
+	p.batch.Store(p.newBatchScratch(1))
 	p.triadMBps = int64(costmodel.EstimateTriad(m, costmodel.DefaultParams(), cores, triadElems).GBps * 1000)
 	cPrepares.Add(1)
 	gRegions.Set(int64(len(regions)))

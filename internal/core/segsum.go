@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"haspmv/internal/costmodel"
 	"haspmv/internal/exec"
@@ -20,7 +19,7 @@ import (
 // per row, which dominates when the typical row holds a handful of
 // nonzeros. Segmented execution removes both: each core runs its whole
 // interior rows from a flat 12-byte descriptor stream (the row loop
-// lives inside kernel.SegSum*), and rows cut across cores are resolved
+// lives inside kernel.SegSumBlockC), and rows cut across cores are resolved
 // by a *parallel patch* — the last core of a cut-row group to finish
 // adds the group's fragments into the destination row, coordinated by
 // one atomic counter per group, so no serial section remains.
@@ -82,13 +81,6 @@ const autoSegSumMeanRow = 32
 // matrices under 2^31 nonzeros and rows.
 func (p *Prepared) buildSegments() {
 	if p.opts.Exec == ExecSerial {
-		return
-	}
-	// The segmented interior kernels stream the matrix's own []float64
-	// (bit-identical under a palette — the table entry is the stored
-	// float64 — but not under the rounded f32 stream), so an f32 instance
-	// stays on the fragment walk everywhere.
-	if p.values.format == ValF32 {
 		return
 	}
 	h := p.h
@@ -225,37 +217,25 @@ func (p *Prepared) SegSumNNZ() int64 {
 	return n
 }
 
-// runSegSum is one core's share of a Compute call in segmented mode:
-// an optional leading continuation fragment, the interior whole rows
-// from the descriptor stream, an optional direct-stored trailing
-// fragment of a cut row this region heads, then the group patch
-// signals. The caller has already reset extraRow/durNs and rejected
-// empty regions.
-func (s *computeScratch) runSegSum(id int, reg Region) {
-	p := s.p
-	tel := s.tel
-	t0 := time.Now()
-	h, mat, y, x := p.h, p.mat, s.y, s.x
+// runSegSum is one core's share of a call in segmented mode: an
+// optional leading continuation fragment, the interior whole rows from
+// the descriptor stream, an optional direct-stored trailing fragment of
+// a cut row this region heads, then the group patch signals. As in
+// runFragments the vector loop sits outside, one sweep per register
+// block. The caller has already reset extraRow/durNs and rejected empty
+// regions. Returns the fragments and segments walked per sweep.
+func (s *batchScratch) runSegSum(id int, reg Region) (frags int) {
+	p, h, mat := s.p, s.p.h, s.p.mat
 	st := &p.streams
 	un := p.unroll[id]
-	frags := 0
+	extra := s.extraVal[id*s.nvCap : id*s.nvCap+s.nv]
+	sums := s.sums[id*kernel.MaxBlock : (id+1)*kernel.MaxBlock]
 	r0, r1 := reg.StartRow, reg.EndRow
 	// Leading continuation: the region starts mid-row, so its partial
 	// sum is a fragment — patched in parallel when the whole group is
 	// segmented, merged by the serial epilogue otherwise.
-	if reg.Lo > h.RowPtr[r0] {
-		rowStart := h.RowPtr[r0]
-		fragEnd := h.RowPtr[r0+1]
-		if fragEnd > reg.Hi {
-			fragEnd = reg.Hi
-		}
-		o := h.RowBeginNNZ[r0]
-		klo, khi := o+(reg.Lo-rowStart), o+(fragEnd-rowStart)
-		s.extraVal[id] = p.dotFragment(reg.Format, reg.Val, r0, klo, khi, un, x)
-		if !reg.PatchCont {
-			s.extraRow[id] = h.Perm[r0]
-		}
-		frags++
+	lead := reg.Lo > h.RowPtr[r0]
+	if lead {
 		r0++
 	}
 	// Trailing fragment exists when the region's last row continues
@@ -266,29 +246,50 @@ func (s *computeScratch) runSegSum(id int, reg Region) {
 	if tailClip {
 		rLast = r1 - 1
 	}
-	if r0 <= rLast {
-		// Interior rows always stream the f64 values (bit-identical under
-		// a palette; f32 instances never reach segmented mode). A diagonal
-		// region's interior runs on the u32 stream — descriptors amortize
-		// over long rows, segmented regions are short-row by selection.
-		segs := p.segs[r0 : rLast+1]
-		switch reg.Format {
-		case Index32, IndexDia:
-			frags += kernel.SegSum32(mat.Val, st.col32, x, y, segs, un)
-		case Index16:
-			frags += kernel.SegSum16Delta(mat.Val, st.col16, st.rowBase[r0:rLast+1], x, y, segs, un)
-		default:
-			frags += kernel.SegSum(mat.Val, mat.ColIdx, x, y, segs, un)
+	for v0 := 0; v0 < s.nv; v0 += kernel.MaxBlock {
+		Y, X := s.block(v0)
+		w := len(X)
+		frags = 0
+		if lead {
+			r := reg.StartRow
+			rowStart := h.RowPtr[r]
+			fragEnd := min(h.RowPtr[r+1], reg.Hi)
+			o := h.RowBeginNNZ[r]
+			p.dotFragmentBlock(reg.Format, reg.Val, r, o+(reg.Lo-rowStart), o+(fragEnd-rowStart), un, X, sums[:w])
+			copy(extra[v0:v0+w], sums[:w])
+			frags++
+		}
+		if r0 <= rLast {
+			// Interior rows always stream the f64 values (bit-identical
+			// under a palette: the table entry is the stored float64). A
+			// diagonal region's interior runs on the u32 stream —
+			// descriptors amortize over long rows, segmented regions are
+			// short-row by selection.
+			segs := p.segs[r0 : rLast+1]
+			switch reg.Format {
+			case Index32, IndexDia:
+				frags += kernel.SegSumBlockC(mat.Val, st.col32, nil, X, Y, sums[:w], segs, un)
+			case Index16:
+				frags += kernel.SegSumBlockC(mat.Val, st.col16, st.rowBase[r0:rLast+1], X, Y, sums[:w], segs, un)
+			default:
+				frags += kernel.SegSumBlockC(mat.Val, mat.ColIdx, nil, X, Y, sums[:w], segs, un)
+			}
+		}
+		if tailClip {
+			o := h.RowBeginNNZ[r1]
+			khi := o + (reg.Hi - h.RowPtr[r1])
+			// This region owns the cut row's first fragment: direct store,
+			// exactly like the serial walk's first-fragment arm. The patch
+			// (or the epilogue) adds the continuations on top.
+			p.dotFragmentBlock(reg.Format, reg.Val, r1, o, khi, un, X, sums[:w])
+			for j, y := range Y {
+				y[h.Perm[r1]] = sums[j]
+			}
+			frags++
 		}
 	}
-	if tailClip {
-		o := h.RowBeginNNZ[r1]
-		khi := o + (reg.Hi - h.RowPtr[r1])
-		// This region owns the cut row's first fragment: direct store,
-		// exactly like the serial walk's pos==rowStart arm. The patch
-		// (or the epilogue) adds the continuations on top.
-		y[h.Perm[r1]] = p.dotFragment(reg.Format, reg.Val, r1, o, khi, un, x)
-		frags++
+	if lead && !reg.PatchCont {
+		s.extraRow[id] = h.Perm[reg.StartRow]
 	}
 	if reg.PatchCont {
 		s.patch(reg.ContFirst)
@@ -296,169 +297,17 @@ func (s *computeScratch) runSegSum(id int, reg Region) {
 	if reg.PatchHead {
 		s.patch(id)
 	}
-	nnzDone := reg.Hi - reg.Lo
-	dur := time.Since(t0)
-	p.accum[id].ns.Add(int64(dur))
-	p.accum[id].nnz.Add(int64(nnzDone))
-	s.durNs[id] = int64(dur)
-	cNNZFormat[reg.Format].Add(int64(nnzDone))
-	cNNZValue[reg.Val].Add(int64(nnzDone))
-	if tel != nil {
-		extra := 0
-		if reg.PatchCont || s.extraRow[id] >= 0 {
-			extra = 1
-		}
-		tel.RecordSpan(telemetry.Span{
-			Name: "core", Core: reg.Core,
-			Start: t0.Sub(tel.Start()), Dur: dur,
-			NNZ: nnzDone, Fragments: frags, ExtraY: extra,
-		})
-	}
+	return frags
 }
 
 // patch is the parallel cut-row rendezvous for group g (the head
 // region's slot). Every non-empty member signals once after its writes;
 // the member whose signal completes the group adds all continuation
-// fragments into the destination row in ascending region order — the
-// same left-associated chain the serial epilogue would have produced —
-// then resets the counter for the next call on this pooled scratch.
-// The atomic counter's RMW chain orders every member's plain writes
-// before the patcher's reads.
-func (s *computeScratch) patch(g int) {
-	regs := s.regs
-	if int(s.pending[g].Add(1)) != regs[g].HeadSpan {
-		return
-	}
-	s.pending[g].Store(0)
-	dst := s.p.h.Perm[regs[g].EndRow]
-	v := s.y[dst]
-	for id := g + 1; id <= regs[g].HeadLast; id++ {
-		if regs[id].Lo < regs[id].Hi {
-			v += s.extraVal[id]
-		}
-	}
-	s.y[dst] = v
-}
-
-// runSegSum is the batch analogue: the same fragment skeleton with
-// every piece widened to the register-blocked kernels, tiled MaxBlock
-// vectors at a time (a width-1 tile takes the single-vector path, as
-// ComputeBatch's fragment walk does).
-func (s *batchScratch) runSegSum(id int, reg Region) {
-	p := s.p
-	tel := s.tel
-	t0 := time.Now()
-	h, mat, Y, X, nv := p.h, p.mat, s.Y, s.X, s.nv
-	st := &p.streams
-	un := p.unroll[id]
-	extra := s.extraVal[id*s.nvCap : id*s.nvCap+nv]
-	sums := s.sums[id*kernel.MaxBlock : (id+1)*kernel.MaxBlock]
-	frags := 0
-	r0, r1 := reg.StartRow, reg.EndRow
-	if reg.Lo > h.RowPtr[r0] {
-		rowStart := h.RowPtr[r0]
-		fragEnd := h.RowPtr[r0+1]
-		if fragEnd > reg.Hi {
-			fragEnd = reg.Hi
-		}
-		o := h.RowBeginNNZ[r0]
-		klo, khi := o+(reg.Lo-rowStart), o+(fragEnd-rowStart)
-		for v0 := 0; v0 < nv; {
-			w := nv - v0
-			if w > kernel.MaxBlock {
-				w = kernel.MaxBlock
-			}
-			if w == 1 {
-				sums[0] = p.dotFragment(reg.Format, reg.Val, r0, klo, khi, un, X[v0])
-			} else {
-				p.dotFragmentBlock(reg.Format, reg.Val, r0, klo, khi, un, X[v0:], sums[:w])
-			}
-			copy(extra[v0:v0+w], sums[:w])
-			v0 += w
-		}
-		if !reg.PatchCont {
-			s.extraRow[id] = h.Perm[r0]
-		}
-		frags++
-		r0++
-	}
-	tailClip := r0 <= r1 && reg.Hi < h.RowPtr[r1+1]
-	rLast := r1
-	if tailClip {
-		rLast = r1 - 1
-	}
-	if r0 <= rLast {
-		segs := p.segs[r0 : rLast+1]
-		for v0 := 0; v0 < nv; {
-			w := nv - v0
-			if w > kernel.MaxBlock {
-				w = kernel.MaxBlock
-			}
-			var done int
-			switch reg.Format {
-			case Index32, IndexDia:
-				done = kernel.SegSumBlock32(mat.Val, st.col32, X[v0:], Y[v0:], sums[:w], segs, un)
-			case Index16:
-				done = kernel.SegSumBlock16Delta(mat.Val, st.col16, st.rowBase[r0:rLast+1], X[v0:], Y[v0:], sums[:w], segs, un)
-			default:
-				done = kernel.SegSumBlock(mat.Val, mat.ColIdx, X[v0:], Y[v0:], sums[:w], segs, un)
-			}
-			if v0 == 0 {
-				frags += done
-			}
-			v0 += w
-		}
-	}
-	if tailClip {
-		o := h.RowBeginNNZ[r1]
-		khi := o + (reg.Hi - h.RowPtr[r1])
-		orig := h.Perm[r1]
-		for v0 := 0; v0 < nv; {
-			w := nv - v0
-			if w > kernel.MaxBlock {
-				w = kernel.MaxBlock
-			}
-			if w == 1 {
-				sums[0] = p.dotFragment(reg.Format, reg.Val, r1, o, khi, un, X[v0])
-			} else {
-				p.dotFragmentBlock(reg.Format, reg.Val, r1, o, khi, un, X[v0:], sums[:w])
-			}
-			for j := 0; j < w; j++ {
-				Y[v0+j][orig] = sums[j]
-			}
-			v0 += w
-		}
-		frags++
-	}
-	if reg.PatchCont {
-		s.patch(reg.ContFirst)
-	}
-	if reg.PatchHead {
-		s.patch(id)
-	}
-	nnzDone := reg.Hi - reg.Lo
-	dur := time.Since(t0)
-	p.accum[id].ns.Add(int64(dur))
-	p.accum[id].nnz.Add(int64(nnzDone))
-	s.durNs[id] = int64(dur)
-	cNNZFormat[reg.Format].Add(int64(nnzDone))
-	cNNZValue[reg.Val].Add(int64(nnzDone))
-	if tel != nil {
-		ex := 0
-		if reg.PatchCont || s.extraRow[id] >= 0 {
-			ex = 1
-		}
-		tel.RecordSpan(telemetry.Span{
-			Name: "batch-core", Core: reg.Core,
-			Start: t0.Sub(tel.Start()), Dur: dur,
-			NNZ: nnzDone, Fragments: frags, ExtraY: ex,
-		})
-	}
-}
-
-// patch is the batch-call group rendezvous: per vector, the same
-// ascending-region chain as the batched serial epilogue's per-element
-// order, so Y[v] carries identical bits either way.
+// fragments into the destination row in ascending region order — per
+// vector, the same left-associated chain the serial epilogue would have
+// produced — then resets the counter for the next call on this pooled
+// scratch. The atomic counter's RMW chain orders every member's plain
+// writes before the patcher's reads.
 func (s *batchScratch) patch(g int) {
 	regs := s.regs
 	if int(s.pending[g].Add(1)) != regs[g].HeadSpan {
@@ -466,14 +315,13 @@ func (s *batchScratch) patch(g int) {
 	}
 	s.pending[g].Store(0)
 	dst := s.p.h.Perm[regs[g].EndRow]
-	nv, nvCap := s.nv, s.nvCap
-	for v := 0; v < nv; v++ {
-		val := s.Y[v][dst]
+	for v, y := range s.Y {
+		val := y[dst]
 		for id := g + 1; id <= regs[g].HeadLast; id++ {
 			if regs[id].Lo < regs[id].Hi {
-				val += s.extraVal[id*nvCap+v]
+				val += s.extraVal[id*s.nvCap+v]
 			}
 		}
-		s.Y[v][dst] = val
+		y[dst] = val
 	}
 }

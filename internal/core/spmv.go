@@ -63,9 +63,6 @@ type Options struct {
 	// palette stream when the matrix has at most PaletteMax distinct
 	// values — bit-exact — and the []float64 reference otherwise).
 	Value ValueMode
-	// AllowF32Values permits the lossy float32 value stream. Off by
-	// default: no mode reduces precision without this explicit opt-in.
-	AllowF32Values bool
 	// Exec selects how rows cut across cores are resolved (default
 	// ExecAuto: segmented-sum execution with a parallel patch when the
 	// row-length skew predicts the serial extraY epilogue or the
@@ -124,7 +121,7 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 		t0 = time.Now()
 	}
 	streams := buildStreams(mat, h, opts.Index)
-	values := buildValues(mat, opts.Value, opts.AllowF32Values)
+	values := buildValues(mat, opts.Value)
 	if tel != nil {
 		tel.RecordPhase(telemetry.PhaseStreams, time.Since(t0))
 		t0 = time.Now()
@@ -171,7 +168,7 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 	p.assignFormats(regions)
 	p.assignModes(regions)
 	p.regions.Store(&regions)
-	p.scratch.Store(p.newScratch())
+	p.batch.Store(p.newBatchScratch(1))
 	p.triadMBps = int64(costmodel.EstimateTriad(m, costmodel.DefaultParams(), cores, triadElems).GBps * 1000)
 	gTriadPeak.Set(p.triadMBps)
 	cPrepares.Add(1)
@@ -232,8 +229,8 @@ type Prepared struct {
 	// streams holds the compressed column-index streams built once at
 	// Prepare; Repartition only re-picks per-region formats over them.
 	streams indexStreams
-	// values holds the compressed value stream (palette or f32), also
-	// built once at Prepare and shared by every region.
+	// values holds the compressed value stream (the palette), also built
+	// once at Prepare and shared by every region.
 	values valueStreams
 	// segs is the per-reordered-row segment descriptor stream for
 	// segmented-sum execution (nil when the mode is off for this
@@ -268,12 +265,11 @@ type Prepared struct {
 	repBounds  []float64
 	repCuts    []int
 	rebalances atomic.Int64
-	// scratch is the reusable per-call workspace. Compute claims it with
+	// batch is the reusable per-call workspace of the fragment walk every
+	// multiply runs (Compute is a one-vector batch). A call claims it with
 	// an atomic swap and puts it back, so serial repeated multiplication
 	// is allocation-free; concurrent calls on the same Prepared fall back
 	// to a fresh workspace.
-	scratch atomic.Pointer[computeScratch]
-	// batch is ComputeBatch's workspace under the same swap discipline.
 	batch atomic.Pointer[batchScratch]
 	// structBytes is the modeled memory traffic of one sweep over the
 	// matrix structure (values, column indices at the cost model's widths,
@@ -339,113 +335,6 @@ func (p *Prepared) drainSpanNs(ns []int64) {
 	}
 }
 
-// computeScratch is Compute's per-call workspace: the extraY conflict
-// slots, the parallel body closure (built once so the hot path does not
-// re-allocate it), and the per-call vectors and telemetry collector the
-// body reads.
-type computeScratch struct {
-	p        *Prepared
-	y, x     []float64
-	tel      *telemetry.Collector
-	regs     []Region
-	extraRow []int
-	extraVal []float64
-	// pending holds one rendezvous counter per region slot for the
-	// segmented-sum parallel patch (indexed by the group head's slot);
-	// counters are zero between calls (the patching member resets its
-	// group's counter), so the pooled scratch needs no per-call sweep.
-	pending []atomic.Int32
-	// durNs is each slot's kernel time for the current call — one plain
-	// store per core, read by the traced path to surface the critical-path
-	// core without touching the always-on cumulative accumulators.
-	durNs []int64
-	body  func(id int)
-}
-
-func (p *Prepared) newScratch() *computeScratch {
-	n := len(*p.regions.Load())
-	s := &computeScratch{
-		p:        p,
-		extraRow: make([]int, n),
-		extraVal: make([]float64, n),
-		pending:  make([]atomic.Int32, n),
-		durNs:    make([]int64, n),
-	}
-	s.body = s.run
-	return s
-}
-
-// run is one core's share of a Compute call (the body Algorithm 5 gives
-// each thread), plus optional span recording: nonzeros processed, row
-// fragments walked, and whether this core produced an extraY entry.
-func (s *computeScratch) run(id int) {
-	p := s.p
-	s.extraRow[id] = -1
-	s.durNs[id] = 0
-	reg := s.regs[id]
-	if reg.Lo >= reg.Hi {
-		return
-	}
-	if reg.SegSum {
-		s.runSegSum(id, reg)
-		return
-	}
-	tel := s.tel
-	t0 := time.Now()
-	h, y, x := p.h, s.y, s.x
-	un := p.unroll[id]
-	nnzDone, frags := 0, 0
-	r := reg.StartRow
-	pos := reg.Lo
-	for pos < reg.Hi {
-		rowStart, rowEnd := h.RowPtr[r], h.RowPtr[r+1]
-		fragEnd := rowEnd
-		if fragEnd > reg.Hi {
-			fragEnd = reg.Hi
-		}
-		if fragEnd > pos {
-			o := h.RowBeginNNZ[r]
-			klo, khi := o+(pos-rowStart), o+(fragEnd-rowStart)
-			// Per-region format dispatch: the branches take the same arm
-			// for every fragment of the region, so they predict perfectly.
-			sum := p.dotFragment(reg.Format, reg.Val, r, klo, khi, un, x)
-			if pos == rowStart {
-				// This core owns the row's first fragment: direct
-				// store (Algorithm 5's y[pl[id]] = kernel(...)).
-				y[h.Perm[r]] = sum
-			} else {
-				// Continuation fragment: only the first row of a
-				// region can start mid-row.
-				s.extraRow[id] = h.Perm[r]
-				s.extraVal[id] = sum
-			}
-			nnzDone += fragEnd - pos
-			frags++
-			pos = fragEnd
-		}
-		r++
-	}
-	dur := time.Since(t0)
-	// Always-on signal for the adapter: per-slot busy nanoseconds and
-	// nonzeros, independent of the gated telemetry collector.
-	p.accum[id].ns.Add(int64(dur))
-	p.accum[id].nnz.Add(int64(nnzDone))
-	s.durNs[id] = int64(dur)
-	cNNZFormat[reg.Format].Add(int64(nnzDone))
-	cNNZValue[reg.Val].Add(int64(nnzDone))
-	if tel != nil {
-		extra := 0
-		if s.extraRow[id] >= 0 {
-			extra = 1
-		}
-		tel.RecordSpan(telemetry.Span{
-			Name: "core", Core: reg.Core,
-			Start: t0.Sub(tel.Start()), Dur: dur,
-			NNZ: nnzDone, Fragments: frags, ExtraY: extra,
-		})
-	}
-}
-
 // Format exposes the HACSR view.
 func (p *Prepared) Format() *HACSR { return p.h }
 
@@ -458,12 +347,14 @@ func (p *Prepared) Regions() []Region { return *p.regions.Load() }
 func (p *Prepared) Repartitions() int64 { return p.rebalances.Load() }
 
 // Compute implements Algorithm 5: per-core fragment kernels with the
-// extraY epilogue resolving rows that are cut across cores. The
-// steady-state path performs zero heap allocations (the workspace is
-// reused via Prepared.scratch and exec.Parallel dispatches to a
-// persistent worker pool); with telemetry enabled it additionally records
-// one span per core and the whole-call compute phase.
-func (p *Prepared) Compute(y, x []float64) { p.computeWith(y, x, nil) }
+// extraY epilogue resolving rows that are cut across cores. It is the
+// ComputeBatch walk over a one-vector block, so both share every
+// kernel, epilogue and patch. The steady-state path performs zero heap
+// allocations (the workspace, including the one-element vector
+// headers, is reused via Prepared.batch and exec.Parallel dispatches to
+// a persistent worker pool); with telemetry enabled it additionally
+// records one span per core and the whole-call compute phase.
+func (p *Prepared) Compute(y, x []float64) { p.computeOne(y, x, nil) }
 
 // ComputeTraced is Compute plus a stage breakdown: it splits the call
 // into the parallel kernel phase and the serial extraY merge, records the
@@ -473,51 +364,13 @@ func (p *Prepared) Compute(y, x []float64) { p.computeWith(y, x, nil) }
 // tracing.ComputeBreakdown), so the traced path allocates exactly as much
 // as Compute: nothing.
 func (p *Prepared) ComputeTraced(y, x []float64, bd *tracing.ComputeBreakdown) {
-	p.computeWith(y, x, bd)
+	p.computeOne(y, x, bd)
 }
 
-func (p *Prepared) computeWith(y, x []float64, bd *tracing.ComputeBreakdown) {
-	tel := telemetry.Active()
-	var t0 time.Time
-	if tel != nil || bd != nil {
-		t0 = time.Now()
-	}
-	s := p.scratch.Swap(nil)
-	if s == nil {
-		s = p.newScratch()
-	}
-	// One regions snapshot per call: every worker of this multiply walks
-	// the same tiling even if Repartition swaps the partition mid-flight.
-	s.y, s.x, s.tel, s.regs = y, x, tel, *p.regions.Load()
-	for _, r := range p.emptyRows {
-		y[r] = 0
-	}
-	n := len(s.regs)
-	exec.Parallel(n, s.body)
-	var tKernel time.Time
-	if bd != nil {
-		tKernel = time.Now()
-	}
-	// Serial epilogue (Algorithm 5 lines 15-17): add the tail conflicts.
-	for id := 0; id < n; id++ {
-		if s.extraRow[id] >= 0 {
-			y[s.extraRow[id]] += s.extraVal[id]
-		}
-	}
-	if bd != nil {
-		bd.KernelNs = int64(tKernel.Sub(t0))
-		bd.MergeNs = int64(time.Since(tKernel))
-		p.fillBreakdown(bd, s.regs, s.durNs, p.TrafficBytes())
-	}
-	s.y, s.x, s.tel, s.regs = nil, nil, nil, nil
-	p.scratch.Store(s)
-	cComputes.Add(1)
-	if tel != nil {
-		d := time.Since(t0)
-		tel.RecordPhase(telemetry.PhaseCompute, d)
-		computeHist.Observe(d)
-		p.recordBandwidth(p.TrafficBytes(), d)
-	}
+func (p *Prepared) computeOne(y, x []float64, bd *tracing.ComputeBreakdown) {
+	s := p.claimScratch(1)
+	s.y1[0], s.x1[0] = y, x
+	p.walk(s, s.y1[:], s.x1[:], bd, true)
 }
 
 // fillBreakdown completes the executor-side fields of a traced multiply:
@@ -575,7 +428,7 @@ func (p *Prepared) Assignments() []costmodel.Assignment {
 			runsIn, inel := p.regionDiaParts(reg)
 			asg.DiagBytes = int(8*runsIn + 4*inel)
 		}
-		// And which value width (palette/f32); ValF64 keeps the zero value
+		// And which value width (the palette); ValF64 keeps the zero value
 		// so the model's default ValBytes applies.
 		if reg.Val != ValF64 {
 			asg.ValBytes = reg.Val.BytesPerValue()

@@ -33,7 +33,7 @@ func TestBlockKernelBitIdenticalToDotRange(t *testing.T) {
 			for _, lo := range []int{0, 13} {
 				for _, unroll := range []int{4, 64, 1 << 30} {
 					hi := lo + l
-					DotRangeBlock(val, col, X, sums[:w], lo, hi, unroll)
+					DotRangeBlockC(val, col, 0, X, sums[:w], lo, hi, unroll)
 					for v := 0; v < w; v++ {
 						ref := DotRange(val, col, X[v], lo, hi, unroll)
 						if sums[v] != ref {
@@ -55,7 +55,7 @@ func TestBlockKernelMatchesReference(t *testing.T) {
 	X := randomBatch(r, MaxBlock, 512)
 	sums := make([]float64, MaxBlock)
 	for _, l := range []int{0, 3, 9, 65, 1000} {
-		DotRangeBlock(val, col, X, sums, 7, 7+l, DefaultUnrollThreshold)
+		DotRangeBlockC(val, col, 0, X, sums, 7, 7+l, DefaultUnrollThreshold)
 		for v := 0; v < MaxBlock; v++ {
 			ref := DotRangeSimple(val, col, X[v], 7, 7+l)
 			if math.Abs(sums[v]-ref) > 1e-9*(1+math.Abs(ref)) {
@@ -76,7 +76,7 @@ func TestBlockKernelProperty(t *testing.T) {
 		lo := int(loRaw) % 1024
 		hi := lo + int(hiRaw)%(1024-lo+1)
 		sums := make([]float64, w)
-		DotRangeBlock(val, col, X, sums, lo, hi, DefaultUnrollThreshold)
+		DotRangeBlockC(val, col, 0, X, sums, lo, hi, DefaultUnrollThreshold)
 		for v := 0; v < w; v++ {
 			if sums[v] != DotRange(val, col, X[v], lo, hi, DefaultUnrollThreshold) {
 				return false
@@ -96,8 +96,8 @@ func TestBlockKernelThresholdDispatch(t *testing.T) {
 	X := randomBatch(r, MaxBlock, 64)
 	a := make([]float64, MaxBlock)
 	b := make([]float64, MaxBlock)
-	DotRangeBlock(val, col, X, a, 0, 100, 1<<30) // forces the mid path
-	DotRangeBlock(val, col, X, b, 0, 100, 4)     // forces the long path
+	DotRangeBlockC(val, col, 0, X, a, 0, 100, 1<<30) // forces the mid path
+	DotRangeBlockC(val, col, 0, X, b, 0, 100, 4)     // forces the long path
 	for v := 0; v < MaxBlock; v++ {
 		if math.Abs(a[v]-b[v]) > 1e-9*(1+math.Abs(a[v])) {
 			t.Fatalf("vec %d: mid %v vs long %v", v, a[v], b[v])
@@ -115,7 +115,7 @@ func BenchmarkDotRangeBlock(b *testing.B) {
 	b.Run("fused", func(b *testing.B) {
 		b.SetBytes(int64(12 * (1 << 16)))
 		for i := 0; i < b.N; i++ {
-			DotRangeBlock(val, col, X, sums, 0, 1<<16, DefaultUnrollThreshold)
+			DotRangeBlockC(val, col, 0, X, sums, 0, 1<<16, DefaultUnrollThreshold)
 		}
 	})
 	b.Run("repeated", func(b *testing.B) {

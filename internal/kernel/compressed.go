@@ -7,43 +7,31 @@ package kernel
 // from a per-row base column) bytes cuts per-nnz stream bytes from 16 to
 // 12 or 10 — see DESIGN.md "Memory-traffic model".
 //
-// Every variant is *bit-exact* with its []int counterpart: the generic
-// bodies below reproduce DotRange/DotRangeBlock's dispatch thresholds,
+// Every instance is *bit-exact* with the []int oracle DotRange: the
+// generic bodies below reproduce its dispatch thresholds,
 // accumulator-chain assignment, reduction trees, and sequential
 // remainders statement for statement, and the gathered operands
-// x[base+int(col[k])] are the same float64s the []int kernels read. Same
+// x[base+int(col[k])] are the same float64s the []int kernel reads. Same
 // chains over same values gives identical IEEE-754 results, which the
 // serving batcher's coalescing contract and the fuzz bit-equality stage
 // both depend on.
 
 // ColIndex is the set of column-index element types the generic kernel
 // bodies walk: the compressed uint16/uint32 streams plus the []int
-// reference (which the segmented-sum kernels reuse the shared bodies
-// for, with base 0). Each type is a distinct gcshape, so no variant
-// pays a boxing or interface cost.
+// reference (which the block and segmented-sum kernels instantiate
+// with base 0). Each type is a distinct gcshape, so no variant pays a
+// boxing or interface cost.
 type ColIndex interface {
 	~uint16 | ~uint32 | ~int
 }
 
-// DotRange32 computes sum(val[k]*x[col[k]]) for k in [lo, hi) over a
-// uint32 absolute column stream, bit-identical to DotRange on the same
-// indices.
-func DotRange32(val []float64, col []uint32, x []float64, lo, hi, unrollLen int) float64 {
-	return dotRangeC(val, col, 0, x, lo, hi, unrollLen)
-}
-
-// DotRange16Delta computes sum(val[k]*x[base+col[k]]) for k in [lo, hi)
-// over a uint16 delta column stream: each stored index is the offset of
-// the true column from base (the minimum column of the rows encoded with
-// this base). Bit-identical to DotRange on the decoded indices.
-func DotRange16Delta(val []float64, col []uint16, base int, x []float64, lo, hi, unrollLen int) float64 {
-	return dotRangeC(val, col, base, x, lo, hi, unrollLen)
-}
-
-// dotRangeC is DotRange with the column load abstracted to
-// base+int(col[k]). The dispatch and both unrolled bodies are copied
+// DotRangeC computes sum(val[k]*x[base+int(col[k])]) for k in [lo, hi),
+// bit-identical to DotRange on the decoded indices. The u32 absolute
+// stream passes base 0; the u16 delta stream stores each index as the
+// offset of the true column from base (the minimum column of the rows
+// encoded with it). The dispatch and both unrolled bodies are copied
 // verbatim from kernel.go so the chain structure cannot drift.
-func dotRangeC[C ColIndex](val []float64, col []C, base int, x []float64, lo, hi, unrollLen int) float64 {
+func DotRangeC[C ColIndex](val []float64, col []C, base int, x []float64, lo, hi, unrollLen int) float64 {
 	length := hi - lo
 	if length <= 0 {
 		return 0
@@ -101,23 +89,13 @@ func dot8C[C ColIndex](val []float64, col []C, base int, x []float64, lo, hi int
 	return sum
 }
 
-// DotRangeBlock32 is DotRangeBlock over a uint32 absolute column stream:
-// sums[j] = DotRange32(val, col, X[j], lo, hi, unrollLen), bit-identical
-// per vector.
-func DotRangeBlock32(val []float64, col []uint32, X [][]float64, sums []float64, lo, hi, unrollLen int) {
-	dotRangeBlockC(val, col, 0, X, sums, lo, hi, unrollLen)
-}
-
-// DotRangeBlock16Delta is DotRangeBlock over a uint16 delta column
-// stream with a shared base: sums[j] = DotRange16Delta(val, col, base,
-// X[j], lo, hi, unrollLen), bit-identical per vector.
-func DotRangeBlock16Delta(val []float64, col []uint16, base int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
-	dotRangeBlockC(val, col, base, X, sums, lo, hi, unrollLen)
-}
-
-// dotRangeBlockC is DotRangeBlock with the column load abstracted; same
-// tile structure, chain carry, and remainders as block.go.
-func dotRangeBlockC[C ColIndex](val []float64, col []C, base int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
+// DotRangeBlockC computes sums[j] = DotRangeC(val, col, base, X[j], lo,
+// hi, unrollLen) for j in [0, len(sums)), reading the index stream from
+// cache for all but the first vector of the block (see block.go). len(X)
+// must be at least len(sums), and len(sums) must be between 1 and
+// MaxBlock. Every result is bit-identical to the corresponding
+// single-vector call.
+func DotRangeBlockC[C ColIndex](val []float64, col []C, base int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
 	w := len(sums)
 	length := hi - lo
 	if length <= 0 {
@@ -144,7 +122,11 @@ func dotRangeBlockC[C ColIndex](val []float64, col []C, base int, X [][]float64,
 	dotBlock8C(val, col, base, X, sums, lo, hi, w)
 }
 
-// dotBlock4C mirrors dotBlock4 with compressed loads.
+// dotBlock4C mirrors dot4: four accumulator chains per vector (chain i
+// takes the nonzeros at positions lo+i, lo+i+4, ...), the
+// (a0+a2)+(a1+a3) reduction, then the sequential remainder. Chain values
+// are carried across tiles in acc, which preserves each chain's strictly
+// sequential accumulation order.
 func dotBlock4C[C ColIndex](val []float64, col []C, base int, X [][]float64, sums []float64, lo, hi, w int) {
 	var acc [MaxBlock][4]float64
 	k4 := lo + (hi-lo)&^3
@@ -176,7 +158,9 @@ func dotBlock4C[C ColIndex](val []float64, col []C, base int, X [][]float64, sum
 	}
 }
 
-// dotBlock8C mirrors dotBlock8 with compressed loads.
+// dotBlock8C mirrors dot8: eight accumulator chains per vector, the
+// ((a0+a2)+(a1+a3))+((b0+b2)+(b1+b3)) reduction, then the sequential
+// remainder, with chain values carried across tiles as in dotBlock4C.
 func dotBlock8C[C ColIndex](val []float64, col []C, base int, X [][]float64, sums []float64, lo, hi, w int) {
 	var acc [MaxBlock][8]float64
 	k8 := lo + (hi-lo)&^7

@@ -43,11 +43,11 @@ func TestCompressedBitIdentical(t *testing.T) {
 			}
 			for _, un := range unrolls {
 				want := DotRange(val, col, x, lo, hi, un)
-				if got := DotRange32(val, col32, x, lo, hi, un); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("DotRange32 len %d lo %d un %d: got %x want %x", l, lo, un, got, want)
+				if got := DotRangeC(val, col32, 0, x, lo, hi, un); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("DotRangeC[u32] len %d lo %d un %d: got %x want %x", l, lo, un, got, want)
 				}
-				if got := DotRange16Delta(val, col16, base, x, lo, hi, un); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("DotRange16Delta len %d lo %d un %d: got %x want %x", l, lo, un, got, want)
+				if got := DotRangeC(val, col16, base, x, lo, hi, un); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("DotRangeC[u16] len %d lo %d un %d: got %x want %x", l, lo, un, got, want)
 				}
 			}
 		}
@@ -75,18 +75,18 @@ func TestCompressedBlockBitIdentical(t *testing.T) {
 			for w := 1; w <= MaxBlock; w++ {
 				for _, un := range []int{4, 64, 1 << 30} {
 					want := make([]float64, w)
-					DotRangeBlock(val, col, X, want, lo, hi, un)
+					DotRangeBlockC(val, col, 0, X, want, lo, hi, un)
 					got := make([]float64, w)
-					DotRangeBlock32(val, col32, X, got, lo, hi, un)
+					DotRangeBlockC(val, col32, 0, X, got, lo, hi, un)
 					for j := 0; j < w; j++ {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("Block32 len %d lo %d w %d un %d vec %d: got %x want %x", l, lo, w, un, j, got[j], want[j])
+							t.Fatalf("BlockC[u32] len %d lo %d w %d un %d vec %d: got %x want %x", l, lo, w, un, j, got[j], want[j])
 						}
 					}
-					DotRangeBlock16Delta(val, col16, base, X, got, lo, hi, un)
+					DotRangeBlockC(val, col16, base, X, got, lo, hi, un)
 					for j := 0; j < w; j++ {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("Block16Delta len %d lo %d w %d un %d vec %d: got %x want %x", l, lo, w, un, j, got[j], want[j])
+							t.Fatalf("BlockC[u16] len %d lo %d w %d un %d vec %d: got %x want %x", l, lo, w, un, j, got[j], want[j])
 						}
 					}
 				}
@@ -113,7 +113,7 @@ func TestDelta16MaxSpan(t *testing.T) {
 	}
 	for _, un := range []int{4, 64} {
 		want := DotRange(val, col, x, 0, len(col), un)
-		got := DotRange16Delta(val, col16, base, x, 0, len(col), un)
+		got := DotRangeC(val, col16, base, x, 0, len(col), un)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("max-span delta un %d: got %x want %x", un, got, want)
 		}

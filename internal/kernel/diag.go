@@ -51,13 +51,7 @@ func DotRangeDiagPalette(idx []uint8, pal []float64, runs []DiaRun, ri int, x []
 	return dotRangeDiaG(idx, pal, runs, ri, x, lo, hi, unrollLen)
 }
 
-// DotRangeDiagF32 is DotRangeDiag over a float32 value stream (lossy;
-// only built when the caller opted into reduced precision).
-func DotRangeDiagF32(val []float32, runs []DiaRun, ri int, x []float64, lo, hi, unrollLen int) float64 {
-	return dotRangeDiaG(val, nil, runs, ri, x, lo, hi, unrollLen)
-}
-
-// dotRangeDiaG is dotRangeC with the column decoded from the run
+// dotRangeDiaG is DotRangeC with the column decoded from the run
 // stream; same dispatch as DotRange.
 func dotRangeDiaG[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, x []float64, lo, hi, unrollLen int) float64 {
 	length := hi - lo
@@ -176,7 +170,7 @@ func dotDia8[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, x []fl
 	return sum
 }
 
-// DotRangeBlockDiag is DotRangeBlock with columns decoded from the run
+// DotRangeBlockDiag is DotRangeBlockC with columns decoded from the run
 // stream: sums[j] = DotRangeDiag(val, runs, ri, X[j], lo, hi,
 // unrollLen), bit-identical per vector. Single-run fragments take the
 // non-generic contiguous path of diag_contig.go.
@@ -198,13 +192,8 @@ func DotRangeBlockDiagPalette(idx []uint8, pal []float64, runs []DiaRun, ri int,
 	dotRangeBlockDiaG(idx, pal, runs, ri, X, sums, lo, hi, unrollLen)
 }
 
-// DotRangeBlockDiagF32 is the float32-value block variant (lossy).
-func DotRangeBlockDiagF32(val []float32, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
-	dotRangeBlockDiaG(val, nil, runs, ri, X, sums, lo, hi, unrollLen)
-}
-
-// dotRangeBlockDiaG is dotRangeBlockC with decoded columns; same tile
-// structure, chain carry, and remainders as block.go. Each vector
+// dotRangeBlockDiaG is DotRangeBlockC with decoded columns; same tile
+// structure, chain carry, and remainders. Each vector
 // replays the same k range, so the decoder state at the start of a tile
 // is saved once and restored per vector.
 func dotRangeBlockDiaG[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
@@ -255,7 +244,7 @@ func diaAdvance(runs []DiaRun, ri, k int) (int, int, int) {
 	return ri, int(runs[ri].EndK), int(runs[ri].ColMinusK)
 }
 
-// dotBlockDia4 mirrors dotBlock4 with decoded columns.
+// dotBlockDia4 mirrors dotBlock4C with decoded columns.
 func dotBlockDia4[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, w int) {
 	var acc [MaxBlock][4]float64
 	k4 := lo + (hi-lo)&^3
@@ -317,7 +306,7 @@ func dotBlockDia4[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, X
 	}
 }
 
-// dotBlockDia8 mirrors dotBlock8 with decoded columns.
+// dotBlockDia8 mirrors dotBlock8C with decoded columns.
 func dotBlockDia8[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, w int) {
 	var acc [MaxBlock][8]float64
 	k8 := lo + (hi-lo)&^7

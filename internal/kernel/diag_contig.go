@@ -8,14 +8,14 @@ package kernel
 // points in diag.go detect that case after skipping leading runs and
 // route here; multi-run fragments keep the general decoder.
 //
-// The float64 bodies are deliberately non-generic: the run-walk kernels
-// read values through the generic valLoad (whose palette-nil branch the
-// compiler cannot hoist), and on short stencil rows that per-element
-// branch plus the per-group run check is exactly the overhead that made
-// the descriptor stream slower than u32 despite moving a third of the
-// bytes. Chain assignment, reduction trees, and remainders mirror
-// dot4/dot8/dotBlock4/dotBlock8 statement for statement, so every
-// result stays bit-identical to DotRange on the decoded columns.
+// The float64 bodies are deliberately non-generic: they reslice both
+// operands to the fragment so their loops run bounds-check free, while
+// the value-generic bodies index through valLoad. On short stencil rows
+// that difference is measurable (see DESIGN.md, "One execution walk
+// and its kernel shapes"). Chain assignment, reduction trees, and
+// remainders mirror dot4/dot8/dotBlock4C/dotBlock8C statement for
+// statement, so every result stays bit-identical to DotRange on the
+// decoded columns.
 
 // dotContigF64 computes sum(val[k]*x[cmk+k]) for k in [lo, hi) with
 // DotRange's scalar/4-wide/8-wide dispatch.
@@ -83,8 +83,7 @@ func dotContig8F64(val, x []float64, lo, hi, cmk int) float64 {
 }
 
 // dotDiaContigG is dotContigF64 with the value load abstracted through
-// valLoad, serving single-run fragments of the palette and float32
-// value streams.
+// valLoad, serving single-run fragments of the palette value stream.
 func dotDiaContigG[V ValSource](vals []V, pal []float64, x []float64, lo, hi, cmk, unrollLen int) float64 {
 	length := hi - lo
 	if length < ScalarThreshold {
@@ -140,9 +139,9 @@ func dotDiaContig8G[V ValSource](vals []V, pal []float64, x []float64, lo, hi, c
 	return sum
 }
 
-// dotBlockContigF64 is DotRangeBlock over a single contiguous run:
+// dotBlockContigF64 is DotRangeBlockC over a single contiguous run:
 // sums[j] = dotContigF64(val, X[j], lo, hi, cmk, unrollLen), with the
-// same tile structure and chain carry as dotBlock4/dotBlock8.
+// same tile structure and chain carry as dotBlock4C/dotBlock8C.
 func dotBlockContigF64(val []float64, X [][]float64, sums []float64, lo, hi, cmk, unrollLen int) {
 	w := len(sums)
 	length := hi - lo
@@ -164,7 +163,7 @@ func dotBlockContigF64(val []float64, X [][]float64, sums []float64, lo, hi, cmk
 	dotBlockContig8F64(val, X, sums, lo, hi, cmk, w)
 }
 
-// dotBlockContig4F64 mirrors dotBlock4 with contiguous columns.
+// dotBlockContig4F64 mirrors dotBlock4C with contiguous columns.
 func dotBlockContig4F64(val []float64, X [][]float64, sums []float64, lo, hi, cmk, w int) {
 	var acc [MaxBlock][4]float64
 	k4 := lo + (hi-lo)&^3
@@ -197,7 +196,7 @@ func dotBlockContig4F64(val []float64, X [][]float64, sums []float64, lo, hi, cm
 	}
 }
 
-// dotBlockContig8F64 mirrors dotBlock8 with contiguous columns.
+// dotBlockContig8F64 mirrors dotBlock8C with contiguous columns.
 func dotBlockContig8F64(val []float64, X [][]float64, sums []float64, lo, hi, cmk, w int) {
 	var acc [MaxBlock][8]float64
 	k8 := lo + (hi-lo)&^7
@@ -238,8 +237,7 @@ func dotBlockContig8F64(val []float64, X [][]float64, sums []float64, lo, hi, cm
 }
 
 // dotBlockDiaContigG is dotBlockContigF64 with valLoad operands, for
-// single-run fragments of the palette and float32 streams under the
-// batch kernel. The tile/chain structure is identical, so each sums[j]
+// single-run fragments of the palette stream under the batch kernel. The tile/chain structure is identical, so each sums[j]
 // stays bit-identical to the single-vector contiguous kernel.
 func dotBlockDiaContigG[V ValSource](vals []V, pal []float64, X [][]float64, sums []float64, lo, hi, cmk, unrollLen int) {
 	w := len(sums)
@@ -262,7 +260,7 @@ func dotBlockDiaContigG[V ValSource](vals []V, pal []float64, X [][]float64, sum
 	dotBlockDiaContig8G(vals, pal, X, sums, lo, hi, cmk, w)
 }
 
-// dotBlockDiaContig4G mirrors dotBlock4 with valLoad operands.
+// dotBlockDiaContig4G mirrors dotBlock4C with valLoad operands.
 func dotBlockDiaContig4G[V ValSource](vals []V, pal []float64, X [][]float64, sums []float64, lo, hi, cmk, w int) {
 	var acc [MaxBlock][4]float64
 	k4 := lo + (hi-lo)&^3
@@ -295,7 +293,7 @@ func dotBlockDiaContig4G[V ValSource](vals []V, pal []float64, X [][]float64, su
 	}
 }
 
-// dotBlockDiaContig8G mirrors dotBlock8 with valLoad operands.
+// dotBlockDiaContig8G mirrors dotBlock8C with valLoad operands.
 func dotBlockDiaContig8G[V ValSource](vals []V, pal []float64, X [][]float64, sums []float64, lo, hi, cmk, w int) {
 	var acc [MaxBlock][8]float64
 	k8 := lo + (hi-lo)&^7

@@ -31,29 +31,16 @@ type Segment struct {
 	Dst    int32
 }
 
-// SegSum executes segs over the []int reference column stream:
-// y[s.Dst] = dot(val[s.K0:s.K1], x) per segment, skipping empty
-// segments (empty rows are pre-zeroed by the caller). Returns the
-// number of non-empty segments processed.
-func SegSum(val []float64, col []int, x, y []float64, segs []Segment, unrollLen int) int {
-	return segSumC(val, col, nil, x, y, segs, unrollLen)
-}
-
-// SegSum32 is SegSum over the u32 absolute column stream.
-func SegSum32(val []float64, col []uint32, x, y []float64, segs []Segment, unrollLen int) int {
-	return segSumC(val, col, nil, x, y, segs, unrollLen)
-}
-
-// SegSum16Delta is SegSum over the u16 delta column stream; bases[i] is
-// the delta base column of segs[i]'s row (bases is parallel to segs).
-func SegSum16Delta(val []float64, col []uint16, bases []int, x, y []float64, segs []Segment, unrollLen int) int {
-	return segSumC(val, col, bases, x, y, segs, unrollLen)
-}
-
-// segSumC is the generic segmented body. The per-segment dispatch is
-// DotRange's — straight-line scalar under ScalarThreshold, dot4C under
-// unrollLen, dot8C above — so each row's chain is bit-identical to the
-// fragment walk's.
+// segSumC executes segs over a column stream: y[s.Dst] =
+// dot(val[s.K0:s.K1], x) per segment, skipping empty segments (empty
+// rows are pre-zeroed by the caller). bases[i] is the delta base column
+// of segs[i]'s row for the u16 stream (bases is parallel to segs) and
+// nil for the absolute u32 and []int streams. Returns the number of
+// non-empty segments processed.
+//
+// The per-segment dispatch is DotRange's — straight-line scalar under
+// ScalarThreshold, dot4C under unrollLen, dot8C above — so each row's
+// chain is bit-identical to the fragment walk's.
 func segSumC[C ColIndex](val []float64, col []C, bases []int, x, y []float64, segs []Segment, unrollLen int) int {
 	done := 0
 	for i := range segs {
@@ -100,32 +87,18 @@ func segSumC[C ColIndex](val []float64, col []C, bases []int, x, y []float64, se
 	return done
 }
 
-// SegSumBlock is the register-blocked segmented kernel over the []int
-// reference stream: Y[j][s.Dst] = dot(val[s.K0:s.K1], X[j]) for j in
-// [0, len(sums)), bit-identical per vector to SegSum. sums is the
-// caller's pooled per-core block buffer (its length selects the block
-// width). Returns the number of non-empty segments processed.
-func SegSumBlock(val []float64, col []int, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
-	return segSumBlockC(val, col, nil, X, Y, sums, segs, unrollLen)
-}
-
-// SegSumBlock32 is SegSumBlock over the u32 absolute column stream.
-func SegSumBlock32(val []float64, col []uint32, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
-	return segSumBlockC(val, col, nil, X, Y, sums, segs, unrollLen)
-}
-
-// SegSumBlock16Delta is SegSumBlock over the u16 delta column stream
-// with per-segment bases (parallel to segs).
-func SegSumBlock16Delta(val []float64, col []uint16, bases []int, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
-	return segSumBlockC(val, col, bases, X, Y, sums, segs, unrollLen)
-}
-
-// segSumBlockC mirrors the batch fragment walk's block dispatch: a
-// width-1 block takes the single-vector path (as ComputeBatch does for
-// its last odd vector), wider blocks take dotRangeBlockC — both
-// bit-identical per vector to the single-vector kernels.
-func segSumBlockC[C ColIndex](val []float64, col []C, bases []int, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
+// SegSumBlockC is the register-blocked segmented kernel:
+// Y[j][s.Dst] = dot(val[s.K0:s.K1], X[j]) for j in [0, len(sums)),
+// bit-identical per vector to segSumC. sums is the caller's pooled
+// per-core block buffer (its length selects the block width). Returns
+// the number of non-empty segments processed. A width-1 block runs
+// segSumC itself, so the odd vector of a batch keeps the straight-line
+// short-row cases; wider blocks take DotRangeBlockC per segment.
+func SegSumBlockC[C ColIndex](val []float64, col []C, bases []int, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
 	w := len(sums)
+	if w == 1 {
+		return segSumC(val, col, bases, X[0], Y[0], segs, unrollLen)
+	}
 	done := 0
 	for i := range segs {
 		s := segs[i]
@@ -137,13 +110,9 @@ func segSumBlockC[C ColIndex](val []float64, col []C, bases []int, X, Y [][]floa
 		if bases != nil {
 			base = bases[i]
 		}
-		if w == 1 {
-			Y[0][s.Dst] = dotRangeC(val, col, base, X[0], lo, hi, unrollLen)
-		} else {
-			dotRangeBlockC(val, col, base, X, sums, lo, hi, unrollLen)
-			for j := 0; j < w; j++ {
-				Y[j][s.Dst] = sums[j]
-			}
+		DotRangeBlockC(val, col, base, X, sums, lo, hi, unrollLen)
+		for j := 0; j < w; j++ {
+			Y[j][s.Dst] = sums[j]
 		}
 		done++
 	}

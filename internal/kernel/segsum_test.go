@@ -89,15 +89,15 @@ func TestSegSumBitIdentical(t *testing.T) {
 		for i := range y {
 			y[i] = math.NaN()
 		}
-		check("SegSum", y[:cap(y)], SegSum(val, col, x, y, segs, un))
+		check("segSumC[int]", y[:cap(y)], segSumC(val, col, nil, x, y, segs, un))
 		for i := range y {
 			y[i] = math.NaN()
 		}
-		check("SegSum32", y, SegSum32(val, col32, x, y, segs, un))
+		check("segSumC[u32]", y, segSumC(val, col32, nil, x, y, segs, un))
 		for i := range y {
 			y[i] = math.NaN()
 		}
-		check("SegSum16Delta", y, SegSum16Delta(val, col16, bases, x, y, segs, un))
+		check("segSumC[u16]", y, segSumC(val, col16, bases, x, y, segs, un))
 	}
 }
 
@@ -156,9 +156,9 @@ func TestSegSumBlockBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			check("SegSumBlock", SegSumBlock(val, col, X, Y, sums, segs, un))
-			check("SegSumBlock32", SegSumBlock32(val, col32, X, Y, sums, segs, un))
-			check("SegSumBlock16Delta", SegSumBlock16Delta(val, col16, bases, X, Y, sums, segs, un))
+			check("SegSumBlockC[int]", SegSumBlockC(val, col, nil, X, Y, sums, segs, un))
+			check("SegSumBlockC[u32]", SegSumBlockC(val, col32, nil, X, Y, sums, segs, un))
+			check("SegSumBlockC[u16]", SegSumBlockC(val, col16, bases, X, Y, sums, segs, un))
 		}
 	}
 }

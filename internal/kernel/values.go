@@ -1,54 +1,47 @@
 package kernel
 
+import "unsafe"
+
 // Compressed-value kernels: the Algorithm 6 dot products with the value
-// operand loaded from a palette or float32 stream instead of []float64.
-// The value stream is 8 of the 12-16 bytes moved per nonzero; a matrix
-// with at most 256 distinct values (0/1 adjacency, edge-weight graphs)
-// streams 1-byte palette indices and reads the float64 through a table
-// that fits in L1, and a caller that explicitly accepts reduced
-// precision streams 4-byte float32s.
+// operand loaded from a palette stream instead of []float64. The value
+// stream is 8 of the 12-16 bytes moved per nonzero; a matrix with at
+// most 256 distinct values (0/1 adjacency, edge-weight graphs) streams
+// 1-byte palette indices and reads the float64 through a table that
+// fits in L1.
 //
 // The palette load pal[idx[k]] *is* the float64 the matrix stores, so
 // every palette variant is bit-exact with its []float64 counterpart:
-// the generic bodies below reproduce DotRange/DotRangeBlock's dispatch,
-// chain assignment, reduction trees, and remainders statement for
-// statement, exactly like compressed.go does for the index streams. The
-// float32 variants share the bodies but are lossy by construction (each
-// operand is float64(float32(v))) and are never selected without an
-// explicit opt-in upstream.
+// the generic bodies below reproduce DotRangeC/DotRangeBlockC's
+// dispatch, chain assignment, reduction trees, and remainders statement
+// for statement.
 
-// ValSource is the set of value-stream element types the generic
-// bodies read: the []float64 reference, the lossy float32 stream, and
-// the uint8 palette indices (resolved through a non-nil pal table).
+// ValSource is the set of value-stream element types the value-generic
+// bodies read: the uint8 palette indices (resolved through pal) and,
+// for the multi-run diagonal decoder only, the []float64 reference.
 type ValSource interface {
-	~float64 | ~float32 | ~uint8
+	~float64 | ~uint8
 }
 
-// valLoad resolves one value operand: the element itself for direct
-// streams (pal nil), the palette entry for index streams. The branch is
-// loop-invariant and predicted; each V is a distinct gcshape so no
-// variant pays a boxing cost.
+// valLoad resolves one value operand: the element itself for the
+// float64 stream, the palette entry for the index stream. The size test
+// is a constant in each gcshape instantiation, so the compiler deletes
+// the dead arm and neither stream pays a per-element branch.
 func valLoad[V ValSource](vals []V, pal []float64, k int) float64 {
-	if pal == nil {
+	var v V
+	if unsafe.Sizeof(v) == 8 {
 		return float64(vals[k])
 	}
 	return pal[uint8(vals[k])]
 }
 
 // DotRangePalette computes sum(pal[idx[k]]*x[base+int(col[k])]) for k
-// in [lo, hi), bit-identical to DotRange on the same columns and the
+// in [lo, hi), bit-identical to DotRangeC on the same columns and the
 // palette-resolved values.
 func DotRangePalette[C ColIndex](idx []uint8, pal []float64, col []C, base int, x []float64, lo, hi, unrollLen int) float64 {
 	return dotRangeVC(idx, pal, col, base, x, lo, hi, unrollLen)
 }
 
-// DotRangeF32 computes sum(float64(val[k])*x[base+int(col[k])]) for k
-// in [lo, hi) over a float32 value stream (lossy).
-func DotRangeF32[C ColIndex](val []float32, col []C, base int, x []float64, lo, hi, unrollLen int) float64 {
-	return dotRangeVC(val, nil, col, base, x, lo, hi, unrollLen)
-}
-
-// dotRangeVC is dotRangeC with the value load abstracted through
+// dotRangeVC is DotRangeC with the value load abstracted through
 // valLoad; dispatch and chain structure copied from kernel.go.
 func dotRangeVC[V ValSource, C ColIndex](vals []V, pal []float64, col []C, base int, x []float64, lo, hi, unrollLen int) float64 {
 	length := hi - lo
@@ -108,20 +101,14 @@ func dot8VC[V ValSource, C ColIndex](vals []V, pal []float64, col []C, base int,
 	return sum
 }
 
-// DotRangeBlockPalette is DotRangeBlock over the palette value stream:
+// DotRangeBlockPalette is DotRangeBlockC over the palette value stream:
 // sums[j] = DotRangePalette(idx, pal, col, base, X[j], lo, hi,
 // unrollLen), bit-identical per vector.
 func DotRangeBlockPalette[C ColIndex](idx []uint8, pal []float64, col []C, base int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
 	dotRangeBlockVC(idx, pal, col, base, X, sums, lo, hi, unrollLen)
 }
 
-// DotRangeBlockF32 is DotRangeBlock over the float32 value stream
-// (lossy).
-func DotRangeBlockF32[C ColIndex](val []float32, col []C, base int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
-	dotRangeBlockVC(val, nil, col, base, X, sums, lo, hi, unrollLen)
-}
-
-// dotRangeBlockVC is dotRangeBlockC with the value load abstracted;
+// dotRangeBlockVC is DotRangeBlockC with the value load abstracted;
 // same tile structure, chain carry, and remainders as block.go.
 func dotRangeBlockVC[V ValSource, C ColIndex](vals []V, pal []float64, col []C, base int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
 	w := len(sums)
@@ -150,7 +137,7 @@ func dotRangeBlockVC[V ValSource, C ColIndex](vals []V, pal []float64, col []C, 
 	dotBlock8VC(vals, pal, col, base, X, sums, lo, hi, w)
 }
 
-// dotBlock4VC mirrors dotBlock4 with abstracted value loads.
+// dotBlock4VC mirrors dotBlock4C with abstracted value loads.
 func dotBlock4VC[V ValSource, C ColIndex](vals []V, pal []float64, col []C, base int, X [][]float64, sums []float64, lo, hi, w int) {
 	var acc [MaxBlock][4]float64
 	k4 := lo + (hi-lo)&^3
@@ -182,7 +169,7 @@ func dotBlock4VC[V ValSource, C ColIndex](vals []V, pal []float64, col []C, base
 	}
 }
 
-// dotBlock8VC mirrors dotBlock8 with abstracted value loads.
+// dotBlock8VC mirrors dotBlock8C with abstracted value loads.
 func dotBlock8VC[V ValSource, C ColIndex](vals []V, pal []float64, col []C, base int, X [][]float64, sums []float64, lo, hi, w int) {
 	var acc [MaxBlock][8]float64
 	k8 := lo + (hi-lo)&^7
