@@ -35,6 +35,7 @@ import (
 	"haspmv/internal/store"
 	"haspmv/internal/stream"
 	"haspmv/internal/telemetry/tracing"
+	"haspmv/internal/wire"
 
 	haspmvcore "haspmv/internal/core"
 )
@@ -682,8 +683,10 @@ func BenchmarkHostTriad(b *testing.B) {
 // (125k columns, about 2.3 MB of JSON each way) in process, so the
 // JSON wire path dominates: "server" is Server.ServeHTTP on the whole
 // body; "router2" is the fleet Router scattering the body to two
-// in-process workers as row shards and gathering their fragments.
-// Both report allocs/op; the bench-gate job gates their ns/op.
+// in-process workers as row shards and gathering their fragments;
+// "codec" is the worker's number conversion alone, wire.Floats over
+// the body's x and wire.AppendFloats over y. All report allocs/op; the
+// bench-gate job gates their ns/op.
 func BenchmarkMultiplyWire(b *testing.B) {
 	newServer := func(b *testing.B) *server.Server {
 		s := server.New(server.Config{Machine: amp.IntelI912900KF(), Algorithm: haspmvcore.New(haspmvcore.Options{})})
@@ -736,6 +739,29 @@ func BenchmarkMultiplyWire(b *testing.B) {
 			b.Fatal(err)
 		}
 		serve(b, rt)
+	})
+	b.Run("codec", func(b *testing.B) {
+		y := make([]float64, a.Rows)
+		a.MulVec(y, x)
+		at := bytes.Index(body, []byte(`"x":`)) + len(`"x":`)
+		var xs []float64
+		var out []byte
+		codec := func() {
+			var err error
+			if xs, _, err = wire.Floats(xs, body, at); err != nil || len(xs) != len(x) {
+				b.Fatalf("Floats: %d of %d values, err %v", len(xs), len(x), err)
+			}
+			out, _ = wire.AppendFloats(out[:0], y)
+		}
+		if n := testing.AllocsPerRun(5, codec); n != 0 {
+			b.Fatalf("codec allocates %.1f/op, want 0", n)
+		}
+		b.SetBytes(int64(len(body) + len(out)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			codec()
+		}
 	})
 }
 

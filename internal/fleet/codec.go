@@ -273,7 +273,7 @@ func appendGather(b []byte, plan []shard.Desc, frags []fragment, rows int) ([]by
 		sep = true
 	}
 	parse := func(f *fragment, k int) float64 {
-		v, _ := strconv.ParseFloat(string(f.body[f.spans[2*k]:f.spans[2*k+1]]), 64)
+		v, _, _ := wire.ParseNumber(f.body, int(f.spans[2*k])) // scanFragment checked the span
 		return v
 	}
 	var carry float64 // running sum of the cut row carryRow

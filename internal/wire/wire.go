@@ -4,8 +4,9 @@
 // A multiply body is one large number array (x in, y out) next to a few
 // small fields. encoding/json spends most of a served multiply walking
 // that array through reflection, so this package scans bodies by hand:
-// the array is located with one validating scan and converted with
-// strconv.ParseFloat, and formatted back with strconv.AppendFloat under
+// each number is validated and converted in one pass (Clinger's fast
+// path, then Eisel–Lemire, then strconv.ParseFloat for the rare rest),
+// and formatted back with Ryu's shortest digits laid out under
 // encoding/json's float rule, so every byte written matches what
 // json.Marshal writes. The small fields are only located here and then
 // decoded by encoding/json itself, so null handling, string escapes and
@@ -27,7 +28,6 @@ import (
 	"math"
 	"net/http"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -108,72 +108,6 @@ func isHex(c byte) bool {
 	return isDigit(c) || ('a' <= c && c <= 'f') || ('A' <= c && c <= 'F')
 }
 
-// scanNumber validates the JSON number at b[i] and returns its end.
-// huge reports that its magnitude may reach float64 overflow (decimal
-// exponent above 300), where only strconv.ParseFloat can tell whether
-// encoding/json would accept it as a float64.
-func scanNumber(b []byte, i int) (end int, huge bool, err error) {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	intStart := i
-	switch {
-	case i >= len(b):
-		return 0, false, errAt(b, i, "")
-	case b[i] == '0':
-		i++
-	case '1' <= b[i] && b[i] <= '9':
-		for i++; i < len(b) && isDigit(b[i]); i++ {
-		}
-	default:
-		return 0, false, errAt(b, i, "in numeric literal")
-	}
-	intDigits := i - intStart
-	if i < len(b) && b[i] == '.' {
-		i++
-		if i >= len(b) || !isDigit(b[i]) {
-			return 0, false, errAt(b, i, "after decimal point in numeric literal")
-		}
-		for i++; i < len(b) && isDigit(b[i]); i++ {
-		}
-	}
-	exp := 0
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		neg := false
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			neg = b[i] == '-'
-			i++
-		}
-		if i >= len(b) || !isDigit(b[i]) {
-			return 0, false, errAt(b, i, "in exponent of numeric literal")
-		}
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			if exp < 1<<20 {
-				exp = exp*10 + int(b[i]-'0')
-			}
-		}
-		if neg {
-			exp = -exp
-		}
-	}
-	// |v| < 10^(intDigits+exp), so anything at or below 1e300 is finite.
-	return i, intDigits+exp > 300, nil
-}
-
-// checkNumber validates the number at b[i] and, when it could overflow,
-// parses it: a float64 out of range is an error, as in encoding/json.
-func checkNumber(b []byte, i int) (int, error) {
-	end, huge, err := scanNumber(b, i)
-	if err != nil || !huge {
-		return end, err
-	}
-	if _, err := strconv.ParseFloat(string(b[i:end]), 64); err != nil {
-		return 0, &SyntaxError{Off: i, Msg: "number " + string(b[i:end]) + " out of float64 range"}
-	}
-	return end, nil
-}
-
 func literal(b []byte, i int, lit string) (int, error) {
 	if len(b)-i < len(lit) || string(b[i:i+len(lit)]) != lit {
 		return 0, errAt(b, i, "in literal "+lit)
@@ -192,8 +126,8 @@ func skipValue(b []byte, i, depth int) (int, error) {
 	case c == '"':
 		return scanString(b, i)
 	case c == '-' || isDigit(c):
-		end, _, err := scanNumber(b, i)
-		return end, err
+		var n number
+		return n.scan(b, i, false)
 	case c == 't':
 		return literal(b, i, "true")
 	case c == 'f':
@@ -205,7 +139,17 @@ func skipValue(b []byte, i, depth int) (int, error) {
 			return 0, ErrDefer
 		}
 		if c == '[' {
-			return array(b, i, func(i int) (int, error) { return skipValue(b, i, depth+1) })
+			i, done := arrayStart(b, i)
+			for !done {
+				end, err := skipValue(b, i, depth+1)
+				if err != nil {
+					return 0, err
+				}
+				if i, done, err = arrayNext(b, end); err != nil {
+					return 0, err
+				}
+			}
+			return i, nil
 		}
 		return Object(b, i, func(_ []byte, i int) (int, error) { return skipValue(b, i, depth+1) })
 	}
@@ -252,32 +196,32 @@ func Object(b []byte, i int, member func(key []byte, i int) (int, error)) (int, 
 	}
 }
 
-// array walks the JSON array at b[i] == '['. elem consumes the element
-// at offset i and returns its end. array returns the offset past the
-// closing bracket.
-func array(b []byte, i int, elem func(i int) (int, error)) (int, error) {
+// arrayStart steps into the JSON array at b[i] == '[': it returns the
+// first element's offset, or the offset past ']' and done for an empty
+// array. A walk consumes each element itself, with no callback, and
+// steps to the next with arrayNext.
+func arrayStart(b []byte, i int) (int, bool) {
 	i = SkipSpace(b, i+1)
 	if i < len(b) && b[i] == ']' {
-		return i + 1, nil
+		return i + 1, true
 	}
-	for {
-		end, err := elem(i)
-		if err != nil {
-			return 0, err
-		}
-		i = SkipSpace(b, end)
-		if i >= len(b) {
-			return 0, errAt(b, i, "")
-		}
-		switch b[i] {
-		case ',':
-			i = SkipSpace(b, i+1)
-		case ']':
-			return i + 1, nil
-		default:
-			return 0, errAt(b, i, "after array element")
-		}
+	return i, false
+}
+
+// arrayNext steps over the separator after the element ending at end:
+// it returns the next element's offset, or the offset past ']' and done.
+func arrayNext(b []byte, end int) (int, bool, error) {
+	i := SkipSpace(b, end)
+	if i >= len(b) {
+		return 0, false, errAt(b, i, "")
 	}
+	switch b[i] {
+	case ',':
+		return SkipSpace(b, i+1), false, nil
+	case ']':
+		return i + 1, true, nil
+	}
+	return 0, false, errAt(b, i, "after array element")
 }
 
 // numberElem rejects a non-number array element: ErrDefer for null,
@@ -300,48 +244,58 @@ func Floats(dst []float64, b []byte, i int) ([]float64, int, error) {
 	if dst == nil {
 		dst = []float64{}
 	}
-	end, err := array(b, i, func(i int) (int, error) {
+	i, done := arrayStart(b, i)
+	for !done {
 		if err := numberElem(b, i); err != nil {
-			return 0, err
+			return dst, 0, err
 		}
-		end, _, err := scanNumber(b, i)
+		v, end, err := ParseNumber(b, i)
 		if err != nil {
-			return 0, err
-		}
-		v, err := strconv.ParseFloat(string(b[i:end]), 64)
-		if err != nil {
-			return 0, &SyntaxError{Off: i, Msg: "number " + string(b[i:end]) + " out of float64 range"}
+			return dst, 0, err
 		}
 		dst = append(dst, v)
-		return end, nil
-	})
-	return dst, end, err
+		if i, done, err = arrayNext(b, end); err != nil {
+			return dst, 0, err
+		}
+	}
+	return dst, i, nil
 }
 
 // Spans validates the JSON number array at b[i] == '[' without
 // converting it, appending each element's [start, end) byte offsets to
 // dst[:0]. Element k's text is b[s[2k]:s[2k+1]], and elements j..k with
-// their separators are b[s[2j]:s[2k+1]]. Numbers that could overflow a
-// float64 are parsed, so the array is valid exactly when encoding/json
-// would decode it into a []float64. Offsets are int32: b must be
-// shorter than 2 GiB, which every body cap on the multiply path keeps.
+// their separators are b[s[2j]:s[2k+1]]. Numbers large enough to overflow
+// a float64 are converted, so the array is valid exactly when
+// encoding/json would decode it into a []float64. Offsets are int32: b
+// must be shorter than 2 GiB, which every body cap on the multiply path
+// keeps.
 func Spans(dst []int32, b []byte, i int) ([]int32, int, error) {
 	dst = dst[:0]
 	if len(b) > math.MaxInt32 {
 		return dst, 0, &SyntaxError{Off: i, Msg: "body too large for span offsets"}
 	}
-	end, err := array(b, i, func(i int) (int, error) {
+	var n number
+	i, done := arrayStart(b, i)
+	for !done {
 		if err := numberElem(b, i); err != nil {
-			return 0, err
+			return dst, 0, err
 		}
-		end, err := checkNumber(b, i)
+		end, err := n.scan(b, i, false)
 		if err != nil {
-			return 0, err
+			return dst, 0, err
+		}
+		// |v| < 10^dp, and 10^308 is below math.MaxFloat64.
+		if n.dp > 308 {
+			if _, _, err := ParseNumber(b, i); err != nil {
+				return dst, 0, err
+			}
 		}
 		dst = append(dst, int32(i), int32(end))
-		return end, nil
-	})
-	return dst, end, err
+		if i, done, err = arrayNext(b, end); err != nil {
+			return dst, 0, err
+		}
+	}
+	return dst, i, nil
 }
 
 // Key returns the unquoted text of the quoted object key (raw bytes,
@@ -363,26 +317,6 @@ func Key(quoted []byte) string {
 // tagged name, as encoding/json matches them: exactly, or else under
 // Unicode case folding.
 func KeyIs(key, name string) bool { return strings.EqualFold(key, name) }
-
-// AppendFloat appends v as encoding/json writes a float64: the shortest
-// representation that round-trips, in 'f' form except for magnitudes
-// below 1e-6 or from 1e21 up, which use 'e' with a one-digit negative
-// exponent where possible ("1e-7", not "1e-07"). v must be finite.
-func AppendFloat(b []byte, v float64) []byte {
-	abs := math.Abs(v)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
 
 // AppendFloats appends vs as a JSON array. JSON has no encoding for
 // ±Inf and NaN: at the first non-finite element it stops and returns

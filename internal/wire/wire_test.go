@@ -6,17 +6,31 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
-// floatCases are values at every edge of encoding/json's float rule.
+// floatCases are values at every edge of encoding/json's float rule and
+// of the shortest-digits formatter: every power of ten and of two in
+// float64 range with its neighbours, then random bit patterns and
+// random normal values, 1<<20 in all.
 func floatCases() []float64 {
 	vs := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 9.99999e-7, 1e-7, -1e-7,
 		1e20, 1e21, 9.99999999e20, -1e21, 123456789, 1.5e300, math.MaxFloat64,
 		-math.MaxFloat64, math.SmallestNonzeroFloat64, 2.2250738585072014e-308,
 		1e-10, 1e-100, 1e-300, 12345678901234567890, 0.000001234}
+	withNeighbours := func(v float64) {
+		vs = append(vs, v, -v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
+	}
+	for e := -323; e <= 308; e++ {
+		v, _ := strconv.ParseFloat("1e"+strconv.Itoa(e), 64)
+		withNeighbours(v)
+	}
+	for e := -1074; e <= 1023; e++ {
+		withNeighbours(math.Ldexp(1, e))
+	}
 	rng := rand.New(rand.NewSource(1))
-	for len(vs) < 5000 {
+	for len(vs) < 1<<20 {
 		v := math.Float64frombits(rng.Uint64())
 		if !math.IsInf(v, 0) && !math.IsNaN(v) {
 			vs = append(vs, v)
@@ -28,13 +42,7 @@ func floatCases() []float64 {
 
 func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 	for _, v := range floatCases() {
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := AppendFloat(nil, v); string(got) != string(want) {
-			t.Fatalf("AppendFloat(%v) = %s, json.Marshal gives %s", v, got, want)
-		}
+		checkAppendFloat(t, v)
 	}
 }
 
