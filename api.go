@@ -155,21 +155,6 @@ const (
 	ValueReference = haspmvcore.ValueReference
 )
 
-// ReorderMode selects the HACSR row-reorder strategy (see
-// core.ReorderMode).
-type ReorderMode = haspmvcore.ReorderMode
-
-// Row-reorder strategies: the paper's length sort (default), the
-// cost-model autotuner picking per matrix, or one of the forced orders
-// (natural, bipartite reverse Cuthill-McKee, first-column BFS cluster).
-const (
-	ReorderLength   = haspmvcore.ReorderLength
-	ReorderAuto     = haspmvcore.ReorderAuto
-	ReorderIdentity = haspmvcore.ReorderIdentity
-	ReorderRCM      = haspmvcore.ReorderRCM
-	ReorderCluster  = haspmvcore.ReorderCluster
-)
-
 // ModelParams are the performance-model calibration constants.
 type ModelParams = costmodel.Params
 

@@ -474,53 +474,6 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
-// BenchmarkReorderAuto compares Compute under the reorder autotuner's
-// pick against the length-sort default on the workload the graph
-// orders exist for: a row-shuffled strided stencil whose x vector
-// (16MB) spills the model machine's LLC budget, charging gather at
-// DRAM cost. The benchmark refuses to run if the autotuner does not
-// take a graph order (that part is deterministic); the GFlops entries
-// are trend-gated by cmd/benchdiff — on cache-rich hosts the two run
-// alike, on cache-constrained hosts auto pulls ahead.
-func BenchmarkReorderAuto(b *testing.B) {
-	m := haspmv.IntelI912900KF()
-	a := gen.ShuffleRows(gen.StridedStencil(1<<21, 4, 16), 42)
-	auto, err := haspmvcore.New(haspmvcore.Options{Reorder: haspmvcore.ReorderAuto}).Prepare(m, a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec := auto.(*haspmvcore.Prepared).ReorderStats()
-	if dec.Strategy != haspmvcore.StrategyRCM && dec.Strategy != haspmvcore.StrategyCluster {
-		b.Fatalf("autotuner picked %v, want a graph order", dec.Strategy)
-	}
-	length, err := haspmvcore.New(haspmvcore.Options{
-		Reorder:     haspmvcore.ReorderLength,
-		PProportion: auto.(*haspmvcore.Prepared).Plan().PProportion,
-	}).Prepare(m, a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = 1 + float64(i%5)/4
-	}
-	y := make([]float64, a.Rows)
-	for _, tc := range []struct {
-		name string
-		prep exec.Prepared
-	}{{"length", length}, {"auto-" + dec.Strategy.String(), auto}} {
-		b.Run(tc.name, func(b *testing.B) {
-			tc.prep.Compute(y, x) // warm the scratch and worker pools
-			b.SetBytes(int64(12 * a.NNZ()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tc.prep.Compute(y, x)
-			}
-			b.ReportMetric(2*float64(a.NNZ())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
-		})
-	}
-}
-
 // BenchmarkColdStart measures the prepared-matrix store's reason to
 // exist: the full Prepare pipeline on webbase-1M against mmap-loading
 // the persisted Prepared state and rebuilding a servable instance from

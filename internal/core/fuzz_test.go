@@ -84,24 +84,6 @@ func fuzzValueOptions(o *Options, b byte) {
 	}
 }
 
-// fuzzReorderOptions maps bits 3-5 of the same byte onto the reorder
-// strategy space: default length sort, the autotuner, and the three
-// forced orders. The forced graph modes (RCM, cluster) bypass the
-// autotuner's time-budget gate, so the bipartite traversals run even on
-// fuzz-sized matrices.
-func fuzzReorderOptions(o *Options, b byte) {
-	switch (b >> 3) & 7 {
-	case 1:
-		o.Reorder = ReorderAuto
-	case 2:
-		o.Reorder = ReorderIdentity
-	case 3:
-		o.Reorder = ReorderRCM
-	case 4:
-		o.Reorder = ReorderCluster
-	}
-}
-
 // referencePrepared builds the []int oracle instance for a prepared
 // compressed instance: same options, reference index mode, reference
 // (uncompressed f64) value mode, serial epilogue execution, and the
@@ -184,14 +166,16 @@ func adjacencySegSumSeed() []byte {
 }
 
 // reorderSeed builds a shuffled-band fuzz seed: a 16-row band written in
-// scrambled row order, with data[3] (the first entry's row byte) carrying
-// the given reorder-mode bits so the seed lands directly on one reorder
-// strategy — 24 forces RCM, 32 forces cluster, 8 runs the autotuner.
-func reorderSeed(modeBits byte) []byte {
-	data := []byte{15, 31, 0, modeBits, byte(2 * (modeBits % 16)), 7}
+// scrambled row order, row r holding 2 + r%3 consecutive entries, under
+// the given option byte. With an explicit base of 4 (option 4) the
+// length sort splits the 4-entry rows from the rest, so the reordered
+// view really permutes rows; option 1 keeps the natural (scrambled)
+// order.
+func reorderSeed(opt byte) []byte {
+	data := []byte{15, 31, opt}
 	for i := 0; i < 16; i++ {
 		r := (i*7 + 3) % 16
-		for j := 0; j < 3; j++ {
+		for j := 0; j < 2+r%3; j++ {
 			data = append(data, byte(r), byte(2*r+j), byte(5+r+j))
 		}
 	}
@@ -225,9 +209,9 @@ func FuzzPrepareCompute(f *testing.F) {
 	f.Add(diaDefectSeed())                                                                                                                 // forced dia: banded rows + one off-band defect row on the u32 fallback
 	f.Add(adjacencySeed())                                                                                                                 // 0/1 adjacency: single-entry palette across a region boundary
 	f.Add(adjacencySegSumSeed())                                                                                                           // 0/1 adjacency palette under forced segsum
-	f.Add(reorderSeed(24))                                                                                                                 // forced RCM over a shuffled band
-	f.Add(reorderSeed(32))                                                                                                                 // forced cluster order over a shuffled band
-	f.Add(reorderSeed(8))                                                                                                                  // reorder autotuner (gated at fuzz sizes: length/identity race)
+	f.Add(reorderSeed(4))                                                                                                                  // length sort (base 4) over a shuffled band
+	f.Add(reorderSeed(1))                                                                                                                  // DisableReorder: the shuffled band in natural order
+	f.Add(reorderSeed(132))                                                                                                                // length sort (base 4) + forced segsum over a shuffled band
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			return // keep Prepare cost bounded
@@ -239,7 +223,6 @@ func FuzzPrepareCompute(f *testing.F) {
 		opts := fuzzOptions(optByte)
 		if len(data) > 3 {
 			fuzzValueOptions(&opts, data[3])
-			fuzzReorderOptions(&opts, data[3])
 		}
 		prep, err := New(opts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {
@@ -332,20 +315,19 @@ func FuzzPrepareCompute(f *testing.F) {
 		// Reorder bit-identity against the pinned natural-order oracle:
 		// under a row-edge partition (RowCost never cuts inside a row) with
 		// the serial epilogue, every y[i] is one dot product over row i's
-		// entries in column order — so ANY row permutation, graph orders
-		// included, must reproduce the identity ordering bit for bit, before
-		// and after a repartition. This is the contract that makes the
-		// reorder layer pluggable at all.
+		// entries in column order — so the length-sorted view must
+		// reproduce the DisableReorder ordering bit for bit, before and
+		// after a repartition.
 		roOpts := Options{
 			Metric: RowCost, Index: IndexReference, Exec: ExecSerial,
-			Value: ValueReference, Base: opts.Base, Reorder: opts.Reorder,
+			Value: ValueReference, Base: opts.Base,
 		}
 		rp, err := New(roOpts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {
-			t.Fatalf("row-cost Prepare failed (reorder %v): %v", roOpts.Reorder, err)
+			t.Fatalf("row-cost Prepare failed: %v", err)
 		}
 		idOpts := roOpts
-		idOpts.Reorder = ReorderIdentity
+		idOpts.DisableReorder = true
 		idOpts.PProportion = rp.(*Prepared).Plan().PProportion
 		ip, err := New(idOpts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {
@@ -357,8 +339,8 @@ func FuzzPrepareCompute(f *testing.F) {
 		ip.Compute(iy, x)
 		for i := range ry {
 			if math.Float64bits(ry[i]) != math.Float64bits(iy[i]) {
-				t.Fatalf("reorder %v y[%d] = %x, identity oracle %x (matrix %dx%d nnz %d)",
-					roOpts.Reorder, i, math.Float64bits(ry[i]), math.Float64bits(iy[i]), a.Rows, a.Cols, a.NNZ())
+				t.Fatalf("length-sorted y[%d] = %x, identity oracle %x (matrix %dx%d nnz %d)",
+					i, math.Float64bits(ry[i]), math.Float64bits(iy[i]), a.Rows, a.Cols, a.NNZ())
 			}
 		}
 		oplan := Plan{PProportion: plan.PProportion}
@@ -372,8 +354,8 @@ func FuzzPrepareCompute(f *testing.F) {
 		ip.Compute(iy, x)
 		for i := range ry {
 			if math.Float64bits(ry[i]) != math.Float64bits(iy[i]) {
-				t.Fatalf("after repartition: reorder %v y[%d] = %x, identity oracle %x (plan %+v)",
-					roOpts.Reorder, i, math.Float64bits(ry[i]), math.Float64bits(iy[i]), oplan)
+				t.Fatalf("after repartition: length-sorted y[%d] = %x, identity oracle %x (plan %+v)",
+					i, math.Float64bits(ry[i]), math.Float64bits(iy[i]), oplan)
 			}
 		}
 	})
@@ -396,8 +378,8 @@ func FuzzComputeBatch(f *testing.F) {
 	f.Add(diaDefectSeed(), byte(6))                                                                                                                                                                            // forced dia with defect row, block kernels
 	f.Add(adjacencySeed(), byte(8))                                                                                                                                                                            // 0/1 adjacency palette across a region boundary, full block
 	f.Add(adjacencySegSumSeed(), byte(9))                                                                                                                                                                      // 0/1 adjacency palette under forced segsum, full block + width-1 tail
-	f.Add(reorderSeed(24), byte(7))                                                                                                                                                                            // forced RCM over a shuffled band, block kernels
-	f.Add(reorderSeed(32), byte(8))                                                                                                                                                                            // forced cluster order, full block
+	f.Add(reorderSeed(4), byte(7))                                                                                                                                                                             // length sort (base 4) over a shuffled band, block kernels
+	f.Add(reorderSeed(132), byte(8))                                                                                                                                                                           // length sort (base 4) + forced segsum over a shuffled band, full block
 	f.Fuzz(func(t *testing.T, data []byte, nvByte byte) {
 		if len(data) > 1<<12 {
 			return
@@ -410,7 +392,6 @@ func FuzzComputeBatch(f *testing.F) {
 		opts := fuzzOptions(optByte)
 		if len(data) > 3 {
 			fuzzValueOptions(&opts, data[3])
-			fuzzReorderOptions(&opts, data[3])
 		}
 		prep, err := New(opts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {

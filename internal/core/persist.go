@@ -49,8 +49,6 @@ type SnapshotMeta struct {
 	// Skew is the row-length profile driving execution-mode dispatch
 	// (recomputing it needs a counting sort over the row lengths).
 	Skew costmodel.RowSkew
-	// Reorder records the strategy decision behind the stored order.
-	Reorder ReorderDecision
 }
 
 // PreparedSnapshot is the full serializable state of a Prepared
@@ -115,7 +113,6 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 			ValFormat:   vs.format,
 			Distinct:    vs.distinct,
 			Skew:        p.skew,
-			Reorder:     p.reorder,
 		},
 		RowPtr:       p.mat.RowPtr,
 		Val:          p.mat.Val,
@@ -259,9 +256,8 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 			format: snap.Meta.ValFormat, palIdx: snap.PalIdx,
 			pal: snap.Pal, distinct: snap.Meta.Distinct,
 		},
-		segs:    snap.Segs,
-		skew:    snap.Meta.Skew,
-		reorder: snap.Meta.Reorder,
+		segs: snap.Segs,
+		skew: snap.Meta.Skew,
 	}
 	for _, c := range cores {
 		if g, _ := m.GroupOf(c); g.Kind == amp.Performance {

@@ -28,7 +28,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 		{},
 		{Index: IndexReference, Value: ValueReference},
 		{Exec: ExecSegSum},
-		{Reorder: ReorderAuto},
+		{DisableReorder: true},
 		{Metric: NNZCost, OneLevel: true},
 	} {
 		p, snap := snapshotOf(t, opts)

@@ -69,12 +69,6 @@ type Options struct {
 	// per-row fragment-walk overhead dominates, the classic serial
 	// epilogue otherwise).
 	Exec ExecMode
-	// Reorder selects the HACSR row-reorder strategy (default
-	// ReorderLength: the paper's length sort; ReorderAuto scores
-	// identity/length/RCM/cluster orders with the cost model's byte
-	// accounting and picks per matrix). DisableReorder takes precedence
-	// and forces the natural order.
-	Reorder ReorderMode
 }
 
 // New builds the HASpMV algorithm. Config defaults to both groups (PAndE).
@@ -108,13 +102,11 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 	// empty ones in the same pass instead of re-scanning the row pointer.
 	var h *HACSR
 	var empty []int
-	var rdec ReorderDecision
 	if opts.DisableReorder {
 		h = Identity(mat)
 		empty = collectEmptyRows(mat)
-		rdec = ReorderDecision{Mode: opts.Reorder, Strategy: StrategyIdentity}
 	} else {
-		h, empty, rdec = reorderFor(mat, opts.Base, opts.Reorder, len(cores), machineLLCBytes(m))
+		h, empty = convert(mat, opts.Base)
 	}
 	if tel != nil {
 		tel.RecordPhase(telemetry.PhaseReorder, time.Since(t0))
@@ -155,8 +147,7 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 		mat: mat, h: h, machine: m,
 		opts: opts, emptyRows: empty, unroll: unroll,
 		cs: cs, cores: cores, streams: streams, values: values,
-		reorder: rdec,
-		accum:   make([]coreAccum, len(regions)),
+		accum: make([]coreAccum, len(regions)),
 	}
 	for _, c := range cores {
 		if g, _ := m.GroupOf(c); g.Kind == amp.Performance {
@@ -240,9 +231,6 @@ type Prepared struct {
 	// skew is the row-length skew profile driving the execution-mode
 	// dispatch.
 	skew costmodel.RowSkew
-	// reorder records which row-order strategy Prepare chose and the
-	// candidate scores behind the choice.
-	reorder ReorderDecision
 	// cores are the participating core ids (P slots first), and pCount
 	// how many of them belong to the Performance group.
 	cores  []int

@@ -111,29 +111,3 @@ func Density(a *CSR) float64 {
 	}
 	return float64(a.NNZ()) / (float64(a.Rows) * float64(a.Cols))
 }
-
-// PermutedBandwidth returns the bandwidth of the row-permuted matrix
-// PA (perm maps permuted position -> original row; nil means natural
-// order): max over nonzeros of |permuted row - column|. Row-reordering
-// strategies report it to show how much band structure an order
-// recovers; columns do not move, so this is the bandwidth the x-gather
-// actually sees.
-func PermutedBandwidth(a *CSR, perm []int) int {
-	if perm == nil {
-		return Bandwidth(a)
-	}
-	bw := 0
-	for i := 0; i < a.Rows; i++ {
-		o := perm[i]
-		for k := a.RowPtr[o]; k < a.RowPtr[o+1]; k++ {
-			d := a.ColIdx[k] - i
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		}
-	}
-	return bw
-}

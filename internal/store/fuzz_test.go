@@ -43,7 +43,7 @@ func fuzzSeedCases() []struct {
 		{"palette-segsum", palette, core.Options{Exec: core.ExecSegSum}},
 		{"segsum", skewed, core.Options{Exec: core.ExecSegSum}},
 		{"tiny", algtest.Matrix("tiny-3x3"), core.Options{}},
-		{"reorder-auto", skewed, core.Options{Reorder: core.ReorderAuto}},
+		{"natural-order", skewed, core.Options{DisableReorder: true}},
 	}
 }
 

@@ -42,7 +42,7 @@ import (
 // Version is the on-disk format version. Bump it on any layout or
 // semantic change; Load rejects every other version with ErrVersion,
 // and the CI store cache keys on it so stale caches die with the bump.
-const Version = 2
+const Version = 3
 
 const (
 	headerSize  = 64

@@ -46,7 +46,7 @@ func snapCases() []struct {
 		{"segsum", algtest.Matrix("powerlaw"), core.Options{Exec: core.ExecSegSum}},
 		{"empty-rows", algtest.Matrix("alternating-empty"), core.Options{}},
 		{"tiny", algtest.Matrix("tiny-3x3"), core.Options{}},
-		{"reorder-auto", algtest.Matrix("powerlaw"), core.Options{Reorder: core.ReorderAuto}},
+		{"natural-order", algtest.Matrix("powerlaw"), core.Options{DisableReorder: true}},
 	}
 }
 
@@ -169,11 +169,12 @@ func reloadBytes(t *testing.T, path string, buf []byte) error {
 }
 
 // A file from an older or a future format version (version 1 carried
-// the deleted f32 value section) must be rejected with ErrVersion and a
+// the deleted f32 value section, version 2 the deleted row-reorder
+// decision in its meta block) must be rejected with ErrVersion and a
 // message that tells the operator what to do, not a checksum error or
 // a panic — the store-version-bump contract CI relies on.
 func TestVersionBumpRejected(t *testing.T) {
-	for _, v := range []uint32{1, Version + 1} {
+	for _, v := range []uint32{1, 2, Version + 1} {
 		path, buf := writeSample(t)
 		binary.LittleEndian.PutUint32(buf[8:12], v)
 		// Re-seal the header so the version field, not its checksum, is

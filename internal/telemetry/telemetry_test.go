@@ -36,33 +36,37 @@ func TestRegistryIdempotentAndGated(t *testing.T) {
 	prev := telemetry.Activate(nil)
 	defer telemetry.Activate(prev)
 
+	// The registry is process-wide, so every assertion is a change from
+	// the value the metric held before this run (go test -count=N).
 	base := c1.Value()
 	c1.Add(5)
 	if c1.Value() != base {
 		t.Fatal("disabled counter accumulated")
 	}
 	g := telemetry.NewGauge("test_gated_gauge")
-	g.Set(42)
-	if g.Value() != 0 {
+	gBase := g.Value()
+	g.Set(gBase + 42)
+	if g.Value() != gBase {
 		t.Fatal("disabled gauge stored")
 	}
 	h := telemetry.NewHistogram("test_gated_hist")
+	hBase, sBase := h.Count(), h.SumSeconds()
 	h.Observe(time.Millisecond)
-	if h.Count() != 0 {
+	if h.Count() != hBase {
 		t.Fatal("disabled histogram observed")
 	}
 
 	withCollector(t, func(*telemetry.Collector) {
 		c1.Add(5)
-		g.Set(42)
+		g.Set(gBase + 42)
 		h.Observe(time.Millisecond)
 	})
-	if c1.Value() != base+5 || g.Value() != 42 || h.Count() != 1 {
-		t.Fatalf("enabled updates lost: counter %d (base %d), gauge %d, hist %d",
-			c1.Value(), base, g.Value(), h.Count())
+	if c1.Value() != base+5 || g.Value() != gBase+42 || h.Count() != hBase+1 {
+		t.Fatalf("enabled updates lost: counter %d (base %d), gauge %d (base %d), hist %d (base %d)",
+			c1.Value(), base, g.Value(), gBase, h.Count(), hBase)
 	}
-	if s := h.SumSeconds(); s < 0.0009 || s > 0.0011 {
-		t.Fatalf("histogram sum %v, want ~1ms", s)
+	if s := h.SumSeconds() - sBase; s < 0.0009 || s > 0.0011 {
+		t.Fatalf("histogram sum grew by %v, want ~1ms", s)
 	}
 }
 
@@ -170,11 +174,13 @@ func TestWriteTraceDisabledErrors(t *testing.T) {
 
 func TestPrometheusRendering(t *testing.T) {
 	cnt := telemetry.NewCounter("test_prom_counter")
+	hist := telemetry.NewHistogram("test_prom_hist")
+	histBase := hist.Count()
 	withCollector(t, func(c *telemetry.Collector) {
 		cnt.Add(3)
 		c.RecordPhase(telemetry.PhaseCompute, time.Millisecond)
 		c.RecordCoreSpan(2, time.Now().Add(-time.Millisecond), 50, 5, 0)
-		telemetry.NewHistogram("test_prom_hist").Observe(time.Microsecond)
+		hist.Observe(time.Microsecond)
 
 		var buf bytes.Buffer
 		if err := telemetry.WritePrometheus(&buf); err != nil {
@@ -187,7 +193,7 @@ func TestPrometheusRendering(t *testing.T) {
 			`haspmv_phase_seconds_total{phase="compute"}`,
 			`haspmv_core_nnz_total{core="2"} 50`,
 			"haspmv_test_prom_hist_seconds_bucket",
-			"haspmv_test_prom_hist_seconds_count 1",
+			fmt.Sprintf("haspmv_test_prom_hist_seconds_count %d", histBase+1),
 			"haspmv_enabled 1",
 		} {
 			if !strings.Contains(out, want) {
@@ -288,22 +294,25 @@ func TestValueHistogram(t *testing.T) {
 	}
 	prev := telemetry.Activate(nil)
 	defer telemetry.Activate(prev)
+	// Counts are changes from the pre-run values: the registry is
+	// process-wide and survives go test -count=N.
+	cBase, sBase := h1.Count(), h1.Sum()
 	h1.Observe(8)
-	if h1.Count() != 0 {
+	if h1.Count() != cBase {
 		t.Fatal("disabled value histogram observed")
 	}
 	withCollector(t, func(*telemetry.Collector) {
 		for _, v := range []int64{0, 1, 2, 8, 8, 8, -3} {
 			h1.Observe(v)
 		}
-		if h1.Count() != 7 {
-			t.Fatalf("count %d, want 7", h1.Count())
+		if h1.Count() != cBase+7 {
+			t.Fatalf("count %d, want %d+7", h1.Count(), cBase)
 		}
-		if h1.Sum() != 27 { // -3 clamps to 0
-			t.Fatalf("sum %d, want 27", h1.Sum())
+		if h1.Sum() != sBase+27 { // -3 clamps to 0
+			t.Fatalf("sum %d, want %d+27", h1.Sum(), sBase)
 		}
-		if m := h1.Mean(); m < 3.85 || m > 3.86 {
-			t.Fatalf("mean %v, want 27/7", m)
+		if m, want := h1.Mean(), float64(sBase+27)/float64(cBase+7); math.Abs(m-want) > 0.005 {
+			t.Fatalf("mean %v, want %v (27/7 on a fresh registry)", m, want)
 		}
 		var buf bytes.Buffer
 		if err := telemetry.WritePrometheus(&buf); err != nil {
@@ -312,9 +321,9 @@ func TestValueHistogram(t *testing.T) {
 		out := buf.String()
 		for _, want := range []string{
 			"# TYPE haspmv_test_value_hist histogram",
-			`haspmv_test_value_hist_bucket{le="+Inf"} 7`,
-			"haspmv_test_value_hist_sum 27",
-			"haspmv_test_value_hist_count 7",
+			fmt.Sprintf(`haspmv_test_value_hist_bucket{le="+Inf"} %d`, cBase+7),
+			fmt.Sprintf("haspmv_test_value_hist_sum %d", sBase+27),
+			fmt.Sprintf("haspmv_test_value_hist_count %d", cBase+7),
 		} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("prometheus output missing %q:\n%s", want, out)
@@ -363,7 +372,26 @@ func (w *recordingWriter) WriteHeader(code int)        { w.status = code }
 func TestHistogramExpositionSpecCompliance(t *testing.T) {
 	dur := telemetry.NewHistogram("test_spec_hist")
 	val := telemetry.NewValueHistogram("test_spec_value_hist")
+	// Expected counts are changes from the pre-run values: the registry
+	// is process-wide and survives go test -count=N.
+	durBase, valBase := dur.Count(), val.Count()
 	withCollector(t, func(*telemetry.Collector) {
+		var zeroBase int64
+		var before bytes.Buffer
+		if err := telemetry.WritePrometheus(&before); err != nil {
+			t.Fatal(err)
+		}
+		const zeroBucket = `haspmv_test_spec_hist_seconds_bucket{le="0"} `
+		for _, line := range strings.Split(before.String(), "\n") {
+			if strings.HasPrefix(line, zeroBucket) {
+				n, err := strconv.ParseInt(strings.TrimPrefix(line, zeroBucket), 10, 64)
+				if err != nil {
+					t.Fatalf("le=\"0\" bucket line %q: %v", line, err)
+				}
+				zeroBase = n
+			}
+		}
+
 		for _, d := range []time.Duration{0, time.Nanosecond, time.Microsecond, time.Millisecond, 3 * time.Second, time.Hour} {
 			dur.Observe(d)
 		}
@@ -431,12 +459,12 @@ func TestHistogramExpositionSpecCompliance(t *testing.T) {
 			}
 		}
 		// 34 power-of-two duration bounds plus +Inf; 32 value bounds plus +Inf.
-		checkLadder("haspmv_test_spec_hist_seconds", 35, 6)
-		checkLadder("haspmv_test_spec_value_hist", 33, 4)
+		checkLadder("haspmv_test_spec_hist_seconds", 35, durBase+6)
+		checkLadder("haspmv_test_spec_value_hist", 33, valBase+4)
 
 		// The zero-duration bucket must carry the le="0" bound so a zero
 		// observation lands in a finite bucket.
-		if !strings.Contains(out, `haspmv_test_spec_hist_seconds_bucket{le="0"} 1`) {
+		if !strings.Contains(out, fmt.Sprintf(`haspmv_test_spec_hist_seconds_bucket{le="0"} %d`, zeroBase+1)) {
 			t.Fatalf("zero-duration observation not in le=\"0\" bucket:\n%s", out)
 		}
 	})
